@@ -375,9 +375,8 @@ def bismut_curvature(eqs: ComplexStructureEquations, m: MetricCoefficients,
     """Convenience: Bismut curvature of an invariant structure."""
     if bracket is None:
         bracket = dualize(eqs)
-    g = frame_metric(m)
-    conn = connection(ConnectionKind.BISMUT, bracket, g)
-    return curvature(conn, bracket, g)
+    conn = connection(ConnectionKind.BISMUT, bracket, frame_metric(m))
+    return curvature(conn, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +562,10 @@ def classify_case(case: ClassificationCase,
 
     # (a) random full metrics
     random_pass = 0
-    worst = 0.0
     for _ in range(samples):
         m = sample_admissible_metric(rng)
-        ok, omega = cplx_ok(m)
+        ok, _ = cplx_ok(m)
         random_pass += int(ok)
-        if not ok:
-            worst = max(worst, check_cplx(omega).max_violation)
     detail["random_pass"] = random_pass
     detail["random_total"] = samples
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -295,8 +296,19 @@ def cmd_table3(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with ``-`` and a digit or ``.`` as a
+    value, so ``--beta -5e-05`` and ``--point -1,0`` parse; argparse alone
+    accepts only plain negative integers and decimals there.  No hermflow
+    option starts that way.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermflow",
         description="Bismut/Chern curvature, positivity classification and "
                     "Hermitian curvature flows")

@@ -34,8 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensors import (ComplexTensor, CurvatureTensor, FrameIndex, IndexKind,
-                      zero_threshold)
+from .tensors import CurvatureTensor, FrameIndex, zero_threshold
 
 #: calibrated sign relating reported curvature components to g(R(A,B)C, D)
 CURVATURE_COMPONENT_SIGN = -1.0
@@ -298,15 +297,15 @@ class MetricCoefficients:
                    z=complex(x[7], x[8]))
 
 
-def frame_metric(m: MetricCoefficients) -> ComplexTensor:
-    """The complex-bilinear metric over the full frame, ``g(e_A, e_B)``."""
+def frame_metric(m: MetricCoefficients) -> np.ndarray:
+    """The complex-bilinear metric over the full frame, ``g[A, B] = g(e_A, e_B)``."""
     m.validate()
     G = m.hermitian_matrix()
     n = G.shape[0]
     g = np.zeros((2 * n, 2 * n), dtype=complex)
     g[:n, n:] = G
     g[n:, :n] = G.T
-    return ComplexTensor(n=n, kinds=(IndexKind.FRAME, IndexKind.FRAME), data=g)
+    return g
 
 
 def sample_admissible_metric(rng: np.random.Generator,
@@ -382,7 +381,7 @@ def d_omega(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 def connection(kind: ConnectionKind,
                bracket: BracketTable,
-               g: ComplexTensor | np.ndarray) -> ConnectionCoefficients:
+               g: np.ndarray) -> ConnectionCoefficients:
     """Levi-Civita, Bismut or Chern connection of an invariant structure.
 
     Levi-Civita comes from the Koszul formula (derivative terms vanish on
@@ -392,20 +391,19 @@ def connection(kind: ConnectionKind,
     totally skew, respectively kill the (1,1)-torsion, while keeping the
     (1,0)-frame parallel.
     """
-    garr = g.data if isinstance(g, ComplexTensor) else np.asarray(g, dtype=complex)
     n = bracket.n
     f = bracket.f
-    lowered = _koszul_lowered(f, garr)
+    lowered = _koszul_lowered(f, g)
     if kind is not ConnectionKind.LEVI_CIVITA:
-        dw = d_omega(f, garr, n)
+        dw = d_omega(f, g, n)
         jd = _j_diagonal(n)
         if kind is ConnectionKind.BISMUT:
             lowered = lowered + 0.5 * np.einsum("a,b,c,abc->abc", jd, jd, jd, dw)
         else:
             lowered = lowered - 0.5 * np.einsum("a,abc->abc", jd, dw)
-    ginv = np.linalg.inv(garr)
+    ginv = np.linalg.inv(g)
     gamma = np.einsum("abd,dc->abc", lowered, ginv)
-    return ConnectionCoefficients(kind=kind, n=n, gamma=gamma, g=garr)
+    return ConnectionCoefficients(kind=kind, n=n, gamma=gamma, g=g)
 
 
 def torsion_components(conn: ConnectionCoefficients, bracket: BracketTable
@@ -440,28 +438,27 @@ def chern_torsion(conn: ConnectionCoefficients, bracket: BracketTable) -> Torsio
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature(conn: ConnectionCoefficients,
-              bracket: BracketTable,
-              g: ComplexTensor | np.ndarray | None = None) -> CurvatureTensor:
+def curvature(conn: ConnectionCoefficients, bracket: BracketTable) -> CurvatureTensor:
     """Lowered curvature of an invariant connection.
 
     Components are reported with the calibrated sign
     ``CURVATURE_COMPONENT_SIGN * g(R(e_A, e_B) e_C, e_D)``.
     """
-    garr = conn.g if g is None else (
-        g.data if isinstance(g, ComplexTensor) else np.asarray(g, dtype=complex))
-    direct = _direct_lowered_curvature(conn.gamma, bracket.f, garr)
+    direct = _direct_lowered_curvature(conn.gamma, bracket.f, conn.g)
     return CurvatureTensor(n=conn.n, connection=conn.kind.value,
                            data=CURVATURE_COMPONENT_SIGN * direct)
 
 
-def _direct_lowered_curvature(gamma: np.ndarray, f: np.ndarray, g: np.ndarray
+def _direct_lowered_curvature(gamma: np.ndarray, f: np.ndarray, g: np.ndarray,
+                              A: slice = slice(None), B: slice = slice(None),
+                              C: slice = slice(None), D: slice = slice(None)
                               ) -> np.ndarray:
-    """``g(R(e_A, e_B) e_C, e_D)`` with ``R(X,Y) = [grad_X, grad_Y] - grad_[X,Y]``."""
-    action = (np.einsum("bce,aef->abcf", gamma, gamma)
-              - np.einsum("ace,bef->abcf", gamma, gamma)
-              - np.einsum("abe,ecf->abcf", f, gamma))
-    return np.einsum("abcf,fd->abcd", action, g)
+    """``g(R(e_A, e_B) e_C, e_D)`` with ``R(X,Y) = [grad_X, grad_Y] - grad_[X,Y]``,
+    restricted to the frame blocks ``A, B, C, D`` (the whole frame by default)."""
+    action = (np.einsum("bce,aef->abcf", gamma[B, C], gamma[A])
+              - np.einsum("ace,bef->abcf", gamma[A, C], gamma[B])
+              - np.einsum("abe,ecf->abcf", f[A, B], gamma[:, C]))
+    return np.einsum("abcf,fd->abcd", action, g[:, D])
 
 
 @dataclass(frozen=True)
@@ -550,12 +547,10 @@ def hcf_tangent(eqs: ComplexStructureEquations,
         bracket = dualize(eqs)
     g = frame_metric(m)
     conn = connection(ConnectionKind.CHERN, bracket, g)
-    direct = _direct_lowered_curvature(conn.gamma, bracket.f, conn.g)
     h = slice(0, n)
     a = slice(n, 2 * n)
-    mixed_direct = direct[h, a, h, a]
-    G = m.hermitian_matrix()
-    Ginv = metric_inverse_block(G)
+    mixed_direct = _direct_lowered_curvature(conn.gamma, bracket.f, g, h, a, h, a)
+    Ginv = metric_inverse_block(g[h, a])
     S = second_ricci_trace(Ginv, mixed_direct)
     tor = chern_torsion(conn, bracket)
     q1, q2, q3, q4 = q_terms(Ginv, tor.lowered_hol)
@@ -597,9 +592,8 @@ def invariant_flow_step(eqs: ComplexStructureEquations,
         bracket = dualize(eqs)
 
     def rate(x: np.ndarray) -> np.ndarray:
+        # an inadmissible state raises MetricError from frame_metric
         mm = MetricCoefficients.from_array(x)
-        if not mm.is_admissible():
-            raise MetricError("intermediate state inadmissible")
         return _coefficient_rates(hcf_tangent(eqs, mm, fc, bracket=bracket))
 
     x0 = m.as_array()
@@ -716,8 +710,8 @@ def bismut_chern_comparison_defect(eqs: ComplexStructureEquations,
     cc = connection(ConnectionKind.CHERN, bracket, g)
     h = slice(0, n)
     a = slice(n, 2 * n)
-    db = _direct_lowered_curvature(cb.gamma, bracket.f, g.data)[h, a, h, a]
-    dc = _direct_lowered_curvature(cc.gamma, bracket.f, g.data)[h, a, h, a]
+    db = _direct_lowered_curvature(cb.gamma, bracket.f, g, h, a, h, a)
+    dc = _direct_lowered_curvature(cc.gamma, bracket.f, g, h, a, h, a)
     tor = chern_torsion(cc, bracket)
     Ginv = metric_inverse_block(m.hermitian_matrix())
     tt = np.einsum("qp,ipl,jqk->ijkl", Ginv, tor.lowered_hol,
@@ -734,7 +728,7 @@ def pluriclosed_residual(eqs: ComplexStructureEquations, m: MetricCoefficients,
     n = eqs.n
     if bracket is None:
         bracket = dualize(eqs)
-    g = frame_metric(m).data
+    g = frame_metric(m)
     jd = _j_diagonal(n)
     w = jd[:, None] * g
     dw = invariant_d(w, bracket)

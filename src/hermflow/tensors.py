@@ -1,16 +1,14 @@
-"""Dense complex tensors over the complexified frame of a Hermitian structure.
+"""Frame index labels, the curvature container and the zero threshold.
 
 A frame of complex dimension ``n`` is ordered ``(Z_1, .., Z_n, conj Z_1, ..,
-conj Z_n)``.  Tensor axes are tagged with the index family they run over:
-holomorphic (size ``n``), antiholomorphic (size ``n``), or the full
-complexified frame (size ``2n``, holomorphic block first).
+conj Z_n)``.  A slot is labelled holomorphic or antiholomorphic by its
+position in that order (holomorphic block first).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,11 +25,6 @@ def zero_threshold(magnitude: float, rtol: float = ZERO_RTOL) -> float:
 class IndexKind(enum.Enum):
     HOLOMORPHIC = "holomorphic"
     ANTIHOLOMORPHIC = "antiholomorphic"
-    FRAME = "frame"
-
-
-def _axis_size(kind: IndexKind, n: int) -> int:
-    return 2 * n if kind is IndexKind.FRAME else n
 
 
 @dataclass(frozen=True)
@@ -42,8 +35,6 @@ class FrameIndex:
     position: int
 
     def __post_init__(self) -> None:
-        if self.kind is IndexKind.FRAME:
-            raise ValueError("a FrameIndex is holomorphic or antiholomorphic, not 'frame'")
         if self.position < 1:
             raise ValueError(f"position must be >= 1, got {self.position}")
 
@@ -57,7 +48,7 @@ class FrameIndex:
         return FrameIndex(other, self.position)
 
     def flat(self, n: int) -> int:
-        """Offset of this label inside a FRAME axis of complex dimension n."""
+        """Offset of this label inside the frame of complex dimension n."""
         if self.position > n:
             raise ValueError(f"position {self.position} out of range 1..{n}")
         off = self.position - 1
@@ -93,142 +84,6 @@ def frame_index_from_signed(label: int, n: int) -> FrameIndex:
 
 class TensorError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ComplexTensor:
-    """An immutable dense complex array with one index-kind tag per axis."""
-
-    n: int
-    kinds: tuple[IndexKind, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=complex)
-        expected = tuple(_axis_size(k, self.n) for k in self.kinds)
-        if arr.shape != expected:
-            raise TensorError(
-                f"shape {arr.shape} does not match kinds {self.kinds} for n={self.n} "
-                f"(expected {expected})")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise TensorError("tensor entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-
-    @property
-    def rank(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
-
-    def component(self, *indices: FrameIndex) -> complex:
-        if len(indices) != self.rank:
-            raise TensorError(f"expected {self.rank} indices, got {len(indices)}")
-        flat = []
-        for idx, kind in zip(indices, self.kinds):
-            if kind is IndexKind.FRAME:
-                flat.append(idx.flat(self.n))
-            else:
-                if (kind is IndexKind.HOLOMORPHIC) != idx.is_holomorphic:
-                    raise TensorError(f"index {idx} does not live on a {kind.value} axis")
-                flat.append(idx.position - 1)
-        return complex(self.data[tuple(flat)])
-
-
-def tensor(n: int, kinds: Sequence[IndexKind], data: np.ndarray) -> ComplexTensor:
-    return ComplexTensor(n=n, kinds=tuple(kinds), data=np.asarray(data, dtype=complex))
-
-
-def identity_tensor(n: int, kind: IndexKind = IndexKind.HOLOMORPHIC) -> ComplexTensor:
-    size = _axis_size(kind, n)
-    return ComplexTensor(n=n, kinds=(kind, kind), data=np.eye(size, dtype=complex))
-
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def contract(t1: ComplexTensor,
-             t2: ComplexTensor,
-             pairs: Sequence[tuple[int, int]],
-             metric_inverse: ComplexTensor | None = None) -> ComplexTensor:
-    """Einstein contraction of ``t1`` with ``t2`` over the given axis pairs.
-
-    ``pairs`` lists 0-based ``(axis_of_t1, axis_of_t2)``.  When
-    ``metric_inverse`` is supplied each pairing runs through it, i.e. the
-    summand is ``t1[..a..] * M[a, b] * t2[..b..]`` instead of a direct trace.
-    Remaining axes of ``t1`` come first in the result, then those of ``t2``.
-    """
-    if t1.n != t2.n:
-        raise TensorError(f"mixed complex dimensions {t1.n} and {t2.n}")
-    pairs = list(pairs)
-    seen1 = set()
-    seen2 = set()
-    for a1, a2 in pairs:
-        if not (0 <= a1 < t1.rank and 0 <= a2 < t2.rank):
-            raise TensorError(f"axis pair ({a1}, {a2}) out of range for ranks "
-                              f"{t1.rank} and {t2.rank}")
-        if a1 in seen1 or a2 in seen2:
-            raise TensorError(f"axis used twice in pairing: ({a1}, {a2})")
-        seen1.add(a1)
-        seen2.add(a2)
-        s1 = t1.data.shape[a1]
-        s2 = t2.data.shape[a2]
-        if s1 != s2:
-            raise TensorError(
-                f"cannot contract axis {a1} of size {s1} ({t1.kinds[a1].value}) "
-                f"with axis {a2} of size {s2} ({t2.kinds[a2].value})")
-    if metric_inverse is not None and metric_inverse.rank != 2:
-        raise TensorError("metric_inverse must have rank 2")
-
-    letters = iter(_LETTERS)
-    sub1 = [next(letters) for _ in range(t1.rank)]
-    sub2 = [next(letters) for _ in range(t2.rank)]
-    operands: list[np.ndarray] = [t1.data, t2.data]
-    metric_subs: list[str] = []
-    for a1, a2 in pairs:
-        if metric_inverse is None:
-            sub2[a2] = sub1[a1]
-        else:
-            metric_subs.append(sub1[a1] + sub2[a2])
-            operands.append(metric_inverse.data)
-    out1 = [sub1[i] for i in range(t1.rank) if i not in seen1]
-    out2 = [sub2[i] for i in range(t2.rank) if i not in seen2]
-    spec = ",".join(["".join(sub1), "".join(sub2), *metric_subs])
-    spec += "->" + "".join(out1) + "".join(out2)
-    operands_ordered = [operands[0], operands[1], *operands[2:]]
-    result = np.einsum(spec, *operands_ordered)
-    kinds = tuple(t1.kinds[i] for i in range(t1.rank) if i not in seen1) + \
-        tuple(t2.kinds[i] for i in range(t2.rank) if i not in seen2)
-    return ComplexTensor(n=t1.n, kinds=kinds, data=np.asarray(result, dtype=complex))
-
-
-def max_abs_component(t: ComplexTensor,
-                      selector: Callable[[tuple[FrameIndex, ...]], bool] | None = None
-                      ) -> float:
-    """Max of ``|entry|`` over the index tuples accepted by ``selector``.
-
-    Returns 0 for an empty selection.  Without a selector this is just the
-    tensor magnitude.
-    """
-    if selector is None:
-        return t.magnitude
-    best = 0.0
-    for flat in np.ndindex(*t.data.shape):
-        labels = []
-        for f, kind in zip(flat, t.kinds):
-            if kind is IndexKind.FRAME:
-                labels.append(FrameIndex.from_flat(f, t.n))
-            elif kind is IndexKind.HOLOMORPHIC:
-                labels.append(hol(f + 1))
-            else:
-                labels.append(bar(f + 1))
-        if selector(tuple(labels)):
-            best = max(best, abs(t.data[flat]))
-    return best
 
 
 @dataclass(frozen=True)
@@ -272,9 +127,6 @@ class CurvatureTensor:
         h = slice(0, n)
         a = slice(n, 2 * n)
         return np.array(self.data[h, a, h, a])
-
-    def as_tensor(self) -> ComplexTensor:
-        return ComplexTensor(n=self.n, kinds=(IndexKind.FRAME,) * 4, data=self.data)
 
 
 def curvature_from_mixed_block(block: np.ndarray, n: int, connection: str

@@ -99,6 +99,20 @@ def test_flow_ustinovskiy_not_preserved(capsys, tmp_path):
     assert summary["final_gamma"] > -0.5
 
 
+@pytest.mark.parametrize("argv,option,value", [
+    (["hopf", "--n", "2", "--alpha", "1", "--point", "1,0"], "--beta", "-5e-05"),
+    (["flow", "--n", "2", "--alpha0", "1", "--beta0", "0", "--t-end", "0.1"],
+     "--coeffs", "-0.5,0,0,0"),
+    (["hopf", "--n", "2", "--alpha", "1", "--beta", "0"], "--point", "-1,0"),
+], ids=["e-notation", "coeff-list", "point"])
+def test_negative_option_value_as_separate_token(capsys, argv, option, value):
+    code, out, _ = run(capsys, *argv, option, value)
+    assert code == 0
+    code_eq, out_eq, _ = run(capsys, *argv, f"{option}={value}")
+    assert code_eq == 0
+    assert out == out_eq
+
+
 def test_flow_requires_exactly_one_selector(capsys):
     code, _, err = run(capsys, "flow", "--n", "3", "--alpha0", "1",
                        "--beta0", "0")

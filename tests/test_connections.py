@@ -6,6 +6,7 @@ import pytest
 
 from hermflow.catalog import CASES, bismut_curvature, instantiate
 from hermflow.invariant import (ConnectionKind, MetricCoefficients,
+                                _direct_lowered_curvature,
                                 bismut_chern_comparison_defect, chern_torsion,
                                 connection, curvature, dualize, frame_metric,
                                 hcf_tangent, pluriclosed_residual,
@@ -27,15 +28,20 @@ def _connection_data(eqs, m, kind):
 def test_connection_invariants_per_family(family, params, rng):
     eqs = instantiate(family, **params)
     n = eqs.n
+    h, a = slice(0, n), slice(n, 2 * n)
     for _ in range(3):
         m = sample_admissible_metric(rng)
         for kind in ConnectionKind:
             conn, table, g = _connection_data(eqs, m, kind)
             gamma = conn.gamma
-            lowered = np.einsum("abe,ec->abc", gamma, g.data)
+            lowered = np.einsum("abe,ec->abc", gamma, g)
             # metric compatibility: g(grad_A B, C) + g(B, grad_A C) = 0
             compat = np.max(np.abs(lowered + np.einsum("acb->abc", lowered)))
             assert compat < 1e-9, (family, kind)
+            # the mixed block computed on its own is the slice of the full tensor
+            full = _direct_lowered_curvature(gamma, table.f, g)
+            block = _direct_lowered_curvature(gamma, table.f, g, h, a, h, a)
+            assert np.array_equal(block, full[h, a, h, a]), (family, kind)
             tor = torsion_components(conn, table)
             if kind is ConnectionKind.LEVI_CIVITA:
                 assert np.max(np.abs(tor)) < 1e-9
@@ -43,7 +49,7 @@ def test_connection_invariants_per_family(family, params, rng):
             # Hermitian: the (1,0)-frame stays (1,0)
             assert np.max(np.abs(gamma[:, :n, n:])) < 1e-9, (family, kind)
             assert np.max(np.abs(gamma[:, n:, :n])) < 1e-9, (family, kind)
-            low_t = np.einsum("abe,ec->abc", tor, g.data)
+            low_t = np.einsum("abe,ec->abc", tor, g)
             if kind is ConnectionKind.BISMUT:
                 skew = max(
                     np.max(np.abs(low_t + np.einsum("bac->abc", low_t))),
@@ -107,7 +113,7 @@ def test_chern_flat_families(unit_metric, iwasawa):
         table = dualize(eqs)
         g = frame_metric(m)
         conn = connection(ConnectionKind.CHERN, table, g)
-        omega = curvature(conn, table, g)
+        omega = curvature(conn, table)
         assert omega.magnitude < 1e-12
 
 

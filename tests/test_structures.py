@@ -71,9 +71,9 @@ def test_json_schema_shape():
 
 def test_diagonal_metric_block():
     g = frame_metric(MetricCoefficients(1.0, 1.0, 1.0))
-    assert g.component(hol(1), bar(1)) == pytest.approx(0.5)
-    assert g.component(hol(1), hol(2)) == 0.0
-    assert g.component(bar(2), hol(2)) == pytest.approx(0.5)
+    assert g[hol(1).flat(3), bar(1).flat(3)] == pytest.approx(0.5)
+    assert g[hol(1).flat(3), hol(2).flat(3)] == 0.0
+    assert g[bar(2).flat(3), hol(2).flat(3)] == pytest.approx(0.5)
 
 
 def test_metric_rejects_u_too_large():

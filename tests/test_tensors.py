@@ -1,38 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hermflow import hopf
 from hermflow.invariant import MetricCoefficients, metric_inverse_block
-from hermflow.tensors import (FrameIndex, IndexKind,
-                              TensorError, bar, contract,
-                              curvature_from_mixed_block, hol,
-                              identity_tensor, max_abs_component, tensor,
-                              zero_threshold)
-
-
-def hvec(n, k):
-    data = np.zeros(n, dtype=complex)
-    data[k] = 1.0
-    return tensor(n, [IndexKind.HOLOMORPHIC], data)
-
-
-def test_identity_contraction_returns_vector():
-    e1 = hvec(3, 0)
-    out = contract(identity_tensor(3), e1, [(1, 0)])
-    assert out.kinds == (IndexKind.HOLOMORPHIC,)
-    assert np.allclose(out.data, e1.data)
+from hermflow.tensors import (CurvatureTensor, FrameIndex, TensorError, bar,
+                              curvature_from_mixed_block, hol, zero_threshold)
 
 
 def test_metric_times_inverse_is_identity(rng):
     m = MetricCoefficients(1.2, 0.8, 1.5, u=0.2 + 0.1j, v=-0.1j, z=0.15)
     G = m.hermitian_matrix()
     Ginv = metric_inverse_block(G)
-    g_t = tensor(3, [IndexKind.HOLOMORPHIC, IndexKind.ANTIHOLOMORPHIC], G)
-    ginv_t = tensor(3, [IndexKind.ANTIHOLOMORPHIC, IndexKind.HOLOMORPHIC], Ginv)
-    out = contract(g_t, ginv_t, [(1, 0)])
-    assert np.allclose(out.data, np.eye(3), atol=1e-12)
+    assert np.allclose(G @ Ginv, np.eye(3), atol=1e-12)
 
 
 def test_contract_through_metric_inverse_gives_chern_trace():
@@ -41,65 +20,18 @@ def test_contract_through_metric_inverse_gives_chern_trace():
     h = hopf.HopfMetric(3, 1.0, 0.0)
     z = np.array([0.0, 0.0, 1.0], dtype=complex)
     lowered = hopf.chern_curvature_lowered(h, z)
-    omega_t = tensor(3, [IndexKind.HOLOMORPHIC, IndexKind.ANTIHOLOMORPHIC,
-                         IndexKind.HOLOMORPHIC, IndexKind.ANTIHOLOMORPHIC],
-                     lowered)
     ginv = np.linalg.inv(hopf.metric_at(h, z))
     # g^{k l~} pairs the holomorphic axis through Ginv[l, k]
-    ginv_t = tensor(3, [IndexKind.ANTIHOLOMORPHIC, IndexKind.HOLOMORPHIC], ginv)
-    delta = identity_tensor(3)
-    s = contract(omega_t, ginv_t, [(1, 0), (0, 1)])
-    assert s.kinds == (IndexKind.HOLOMORPHIC, IndexKind.ANTIHOLOMORPHIC)
-    assert s.component(hol(1), bar(1)) == pytest.approx(2.0)
-    assert np.allclose(s.data, 2.0 * delta.data)
-
-
-def test_contract_dimension_mismatch_names_axes():
-    a = tensor(3, [IndexKind.HOLOMORPHIC], np.zeros(3))
-    b = tensor(3, [IndexKind.FRAME], np.zeros(6))
-    with pytest.raises(TensorError, match="axis 0 of size 3"):
-        contract(a, b, [(0, 0)])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6),
-       st.floats(min_value=-3, max_value=3, allow_nan=False))
-def test_contract_is_bilinear(seed, lam):
-    rng = np.random.default_rng(seed)
-    shape = (3, 3)
-    a1 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    a2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    kinds = [IndexKind.HOLOMORPHIC, IndexKind.HOLOMORPHIC]
-    t1 = tensor(3, kinds, lam * a1 + a2)
-    lhs = contract(t1, tensor(3, kinds, b), [(1, 0)]).data
-    rhs = (lam * contract(tensor(3, kinds, a1), tensor(3, kinds, b), [(1, 0)]).data
-           + contract(tensor(3, kinds, a2), tensor(3, kinds, b), [(1, 0)]).data)
-    scale = max(1.0, np.max(np.abs(rhs)))
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
-
-
-def test_max_abs_component_zero_tensor_any_selector():
-    t = tensor(3, [IndexKind.HOLOMORPHIC] * 2, np.zeros((3, 3)))
-    assert max_abs_component(t, lambda idx: True) == 0.0
-
-
-def test_max_abs_component_off_diagonal_of_identity():
-    t = identity_tensor(3)
-    off = max_abs_component(t, lambda idx: idx[0].position != idx[1].position)
-    assert off == 0.0
-    assert max_abs_component(t, lambda idx: False) == 0.0
-    assert max_abs_component(t) == 1.0
+    s = np.einsum("klij,lk->ij", lowered, ginv)
+    assert s[0, 0] == pytest.approx(2.0)
+    assert np.allclose(s, 2.0 * np.eye(3))
 
 
 def test_max_abs_component_selector_sees_kinds(iwasawa, unit_metric):
     from hermflow.catalog import bismut_curvature
-    omega = bismut_curvature(iwasawa, unit_metric).as_tensor()
-
-    def first_pair_holomorphic(idx):
-        return idx[0].is_holomorphic and idx[1].is_holomorphic
-
-    assert max_abs_component(omega, first_pair_holomorphic) < 1e-12
+    omega = bismut_curvature(iwasawa, unit_metric)
+    # components whose first pair is (Z_i, Z_j), both holomorphic
+    assert np.max(np.abs(omega.data[:3, :3])) < 1e-12
 
 
 def test_frame_index_round_trip():
@@ -114,8 +46,10 @@ def test_frame_index_round_trip():
 
 
 def test_tensor_rejects_nonfinite():
+    data = np.zeros((4,) * 4, dtype=complex)
+    data[0, 2, 1, 3] = np.nan
     with pytest.raises(TensorError, match="finite"):
-        tensor(2, [IndexKind.HOLOMORPHIC], np.array([np.nan, 1.0]))
+        CurvatureTensor(n=2, connection="bismut", data=data)
 
 
 def test_zero_threshold_scales_with_magnitude():
