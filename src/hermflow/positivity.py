@@ -62,27 +62,38 @@ class SignClassification:
 
 
 def biquadratic(block: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> float:
-    val = np.einsum("ijkl,i,j,k,l->", block, xi, np.conj(xi), nu, np.conj(nu))
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
+    xi, nu = np.asarray(xi), np.asarray(nu)
+    return float(_biquadratic_rows(block, xi[None], nu[None])[0])
+
+
+def _biquadratic_rows(block: np.ndarray, xi: np.ndarray, nu: np.ndarray
+                      ) -> np.ndarray:
+    """The biquadratic at each row of the (S, n) stacks ``xi`` and ``nu``."""
+    val = np.einsum("ijkl,si,sj,sk,sl->s", block, xi, np.conj(xi), nu, np.conj(nu))
+    if np.any(np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val))):
         raise AssertionError(f"biquadratic value is not real: {val!r}")
-    return float(val.real)
+    return val.real
 
 
-def _partial_matrix(block: np.ndarray, vec: np.ndarray, frozen: str) -> np.ndarray:
-    """Hermitian matrix left after freezing one argument of the biquadratic.
+def _partial_matrix(block: np.ndarray, vecs: np.ndarray, frozen: str) -> np.ndarray:
+    """Hermitian matrices left after freezing one argument of the biquadratic
+    at each row of the (S, n) stack ``vecs``; returns an (S, n, n) stack.
 
     The free slot pairs as ``sum_ij x_i A[i, j] conj(x_j)``, which is the
     standard Hermitian form of ``A`` transposed; the transpose is applied
     here so callers can feed the result straight to an eigensolver.
     """
     if frozen == "nu":
-        A = np.einsum("ijkl,k,l->ij", block, vec, np.conj(vec))
+        A = np.einsum("ijkl,sk,sl->sij", block, vecs, np.conj(vecs))
     else:
-        A = np.einsum("ijkl,i,j->kl", block, vec, np.conj(vec))
-    defect = float(np.max(np.abs(A - A.conj().T)))
-    if defect > 1e-10 * (1.0 + float(np.max(np.abs(A)))):
-        raise AssertionError(f"partial matrix not Hermitian (defect {defect:.2e})")
-    return 0.5 * (A + A.conj().T).T
+        A = np.einsum("ijkl,si,sj->skl", block, vecs, np.conj(vecs))
+    AH = A.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(A - AH), axis=(-2, -1))
+    bad = defect > 1e-10 * (1.0 + np.max(np.abs(A), axis=(-2, -1)))
+    if np.any(bad):
+        raise AssertionError(
+            f"partial matrix not Hermitian (defect {np.max(defect[bad]):.2e})")
+    return (0.5 * (A + AH)).swapaxes(-1, -2)
 
 
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -91,28 +102,40 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray,
-               minimize: bool) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """Alternating eigen-iteration; each half step is an exact optimum, so
-    the objective is monotone.  Returns (value, xi, nu, stationary)."""
-    pick = 0 if minimize else -1
-    value = biquadratic(block, xi, nu)
+               minimize: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating eigen-iteration on every row of the (R, n) start stacks
+    ``xi``, ``nu`` at once; row ``r`` minimizes where ``minimize[r]`` is set
+    and maximizes otherwise.  Each half step is an exact optimum, so every
+    row's objective is monotone.  A row retires once its value is
+    stationary.  Returns per-row (value, xi, nu, stationary)."""
+    pick = np.where(minimize, 0, -1)
+    value = _biquadratic_rows(block, xi, nu)
+    xi, nu = xi.copy(), nu.copy()
+    stationary = np.zeros(len(value), dtype=bool)
+    active = np.arange(len(value))
     for _ in range(MAX_ALTERNATIONS):
-        A = _partial_matrix(block, nu, frozen="nu")
-        _, vecs = np.linalg.eigh(A)
-        xi = vecs[:, pick]
-        B = _partial_matrix(block, xi, frozen="xi")
-        vals, vecs = np.linalg.eigh(B)
-        nu = vecs[:, pick]
-        new_value = float(vals[pick])
-        slack = 1e-12 * (1.0 + abs(value))
-        if minimize and new_value > value + slack:
+        rows = np.arange(len(active))
+        cols = pick[active]
+        _, vecs = np.linalg.eigh(_partial_matrix(block, nu[active], frozen="nu"))
+        new_xi = vecs[rows, :, cols]
+        vals, vecs = np.linalg.eigh(_partial_matrix(block, new_xi, frozen="xi"))
+        new_nu = vecs[rows, :, cols]
+        new_value = vals[rows, cols]
+        old = value[active]
+        slack = 1e-12 * (1.0 + np.abs(old))
+        mins = minimize[active]
+        if np.any(mins & (new_value > old + slack)):
             raise AssertionError("alternating minimization increased the objective")
-        if not minimize and new_value < value - slack:
+        if np.any(~mins & (new_value < old - slack)):
             raise AssertionError("alternating maximization decreased the objective")
-        if abs(new_value - value) <= 1e-13 * (1.0 + abs(new_value)):
-            return new_value, xi, nu, True
-        value = new_value
-    return value, xi, nu, False
+        xi[active], nu[active], value[active] = new_xi, new_nu, new_value
+        done = np.abs(new_value - old) <= 1e-13 * (1.0 + np.abs(new_value))
+        stationary[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+    return value, xi, nu, stationary
 
 
 def classify(omega: CurvatureTensor | np.ndarray,
@@ -123,8 +146,11 @@ def classify(omega: CurvatureTensor | np.ndarray,
 
     ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
     components are then required to vanish; otherwise the call refuses) or a
-    raw mixed block of shape (n, n, n, n).
+    raw mixed block of shape (n, n, n, n).  The minimum and the maximum are
+    searched from the same ``starts`` random start pairs, all in one batch.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     if isinstance(omega, CurvatureTensor):
         report = check_cplx(omega)
         if not report.satisfied:
@@ -144,20 +170,18 @@ def classify(omega: CurvatureTensor | np.ndarray,
         return SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero),
                                   (zero, zero), tol, magnitude, True)
 
-    best_min = np.inf
-    best_max = -np.inf
-    min_wit = max_wit = None
-    stationary = True
-    for _ in range(starts):
-        xi0, nu0 = _random_unit(rng, n), _random_unit(rng, n)
-        val, xi, nu, ok = _alternate(block, xi0, nu0, minimize=True)
-        stationary &= ok
-        if val < best_min:
-            best_min, min_wit = val, (xi, nu)
-        val, xi, nu, ok = _alternate(block, xi0, nu0, minimize=False)
-        stationary &= ok
-        if val > best_max:
-            best_max, max_wit = val, (xi, nu)
+    pairs = [(_random_unit(rng, n), _random_unit(rng, n)) for _ in range(starts)]
+    xi0, nu0 = (np.array(v) for v in zip(*pairs))
+    # rows [0, starts) minimize, rows [starts, 2 starts) maximize
+    values, xis, nus, ok = _alternate(
+        block, np.concatenate([xi0, xi0]), np.concatenate([nu0, nu0]),
+        minimize=np.arange(2 * starts) < starts)
+    # first best wins, as argmin/argmax return the first extreme
+    i_min = int(np.argmin(values[:starts]))
+    i_max = starts + int(np.argmax(values[starts:]))
+    best_min, min_wit = float(values[i_min]), (xis[i_min], nus[i_min])
+    best_max, max_wit = float(values[i_max]), (xis[i_max], nus[i_max])
+    stationary = bool(np.all(ok))
 
     # certify the extremes at the returned witnesses
     for val, wit in ((best_min, min_wit), (best_max, max_wit)):
@@ -176,7 +200,7 @@ def classify(omega: CurvatureTensor | np.ndarray,
     else:
         # nonzero tensor whose bisectional diagonal vanishes identically
         verdict = Verdict.INDETERMINATE
-    return SignClassification(verdict, float(best_min), float(best_max),
+    return SignClassification(verdict, best_min, best_max,
                               min_wit, max_wit, tol, magnitude, stationary)
 
 

@@ -99,6 +99,14 @@ def test_fixture_comparison_flags_corruption():
     assert any("Np/torus" in d for d in diffs)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(5))
+def test_table3_matches_fixture_at_every_seed(seed):
+    # the published columns must not hinge on the sampling seed
+    ok, diffs = compare_with_fixture(regenerate_table3(200, seed=seed))
+    assert ok, diffs
+
+
 def test_renderers_cover_all_rows():
     result = regenerate_table3(samples_per_family=50, seed=1,
                                sign_samples=2, starts=16)

@@ -147,6 +147,14 @@ def test_classify_refuses_on_violation(capsys):
     assert json.loads(out)["refused"] is True
 
 
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_classify_bad_starts_exits_2(capsys, starts):
+    code, out, err = run(capsys, "classify", "--family=Np", "--params=rho=1",
+                         "--metric=r2=1,s2=1,t2=1", f"--starts={starts}")
+    assert code == 2 and out == ""
+    assert err == f"error: starts must be >= 1, got {starts}\n"
+
+
 def test_invalid_metric_exits_2(capsys):
     code, _, err = run(capsys, "cplx", "--family", "Np", "--params", "rho=1",
                        "--metric", "r2=1,s2=1,t2=1,u=2")

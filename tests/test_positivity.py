@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hermflow import hopf
-from hermflow.catalog import bismut_curvature, instantiate
+from hermflow.catalog import CASES, _sample_slice, bismut_curvature, instantiate
 from hermflow.invariant import MetricCoefficients
-from hermflow.positivity import (CplxViolationError, Verdict, _alternate,
+from hermflow.positivity import (MAX_ALTERNATIONS, VERDICT_RTOL,
+                                 CplxViolationError, Verdict, _alternate,
                                  _partial_matrix, _random_unit, biquadratic,
                                  classify, gamma_threshold)
 from tests.conftest import random_point
@@ -65,26 +66,46 @@ def test_refuses_without_pure_type_vanishing(unit_metric):
 def test_partial_matrices_are_hermitian_forms(rng):
     h = hopf.HopfMetric(3, 1.0, 0.8)
     block = hopf.bismut_mixed_block(h, random_point(rng, 3))
-    for _ in range(10):
-        nu = _random_unit(rng, 3)
-        A = _partial_matrix(block, nu, frozen="nu")
-        assert np.max(np.abs(A - A.conj().T)) < 1e-10
-        xi = _random_unit(rng, 3)
-        # the Hermitian form of the partial matrix evaluates the biquadratic
-        assert np.vdot(xi, A @ xi).real == pytest.approx(
-            biquadratic(block, xi, nu), abs=1e-10)
+    nus = np.array([_random_unit(rng, 3) for _ in range(10)])
+    xis = np.array([_random_unit(rng, 3) for _ in range(10)])
+    A = _partial_matrix(block, nus, frozen="nu")
+    B = _partial_matrix(block, xis, frozen="xi")
+    assert A.shape == B.shape == (10, 3, 3)
+    for M in (A, B):
+        assert np.max(np.abs(M - M.conj().swapaxes(-1, -2))) < 1e-10
+    for a, b, xi, nu in zip(A, B, xis, nus):
+        # the Hermitian form of each row's partial matrix evaluates the
+        # biquadratic, whichever argument was frozen
+        q = biquadratic(block, xi, nu)
+        assert np.vdot(xi, a @ xi).real == pytest.approx(q, abs=1e-10)
+        assert np.vdot(nu, b @ nu).real == pytest.approx(q, abs=1e-10)
 
 
 def test_alternating_iteration_monotone_and_certified(rng):
     eqs = instantiate("Np", rho=1)
     omega = bismut_curvature(eqs, MetricCoefficients(1.2, 0.9, 1.1, u=0.1))
     block = omega.mixed_block()
-    for _ in range(10):
-        xi0, nu0 = _random_unit(rng, 3), _random_unit(rng, 3)
-        val, xi, nu, ok = _alternate(block, xi0, nu0, minimize=True)
-        assert ok
+    pairs = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(10)]
+    xi0, nu0 = (np.array(v) for v in zip(*pairs))
+    vals, xis, nus, ok = _alternate(block, xi0, nu0,
+                                    minimize=np.ones(10, dtype=bool))
+    assert vals.shape == ok.shape == (10,)
+    for val, xi, nu, stationary, a, b in zip(vals, xis, nus, ok, xi0, nu0):
+        assert stationary
         assert biquadratic(block, xi, nu) == pytest.approx(val, abs=1e-10)
-        assert val <= biquadratic(block, xi0, nu0) + 1e-12
+        assert val <= biquadratic(block, a, b) + 1e-12
+
+
+@pytest.mark.parametrize("starts", [0, -3])
+def test_classify_rejects_nonpositive_starts(starts, unit_metric):
+    # checked before anything else: before the pure-type refusal of Sv and
+    # before the flat shortcut of a zero block
+    omegas = (bismut_curvature(instantiate("Sv"), unit_metric),
+              np.zeros((3, 3, 3, 3), dtype=complex),
+              bismut_curvature(instantiate("Np", rho=1), unit_metric))
+    for omega in omegas:
+        with pytest.raises(ValueError, match=f"starts must be >= 1, got {starts}"):
+            classify(omega, starts=starts)
 
 
 def test_threshold_grid(rng):
@@ -122,3 +143,113 @@ def test_nonpositive_verdict(rng):
     res = classify(hopf.bismut_mixed_block(h, random_point(rng, 3)), seed=3)
     assert res.verdict is Verdict.NON_POSITIVE
     assert res.verdict.is_nonpositive and not res.verdict.is_nonnegative
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the per-start loop that the batched classifier replaced.
+# The batch must reproduce it bit for bit, since the NON_NEGATIVE verdict
+# needs every start to be stationary.
+# ---------------------------------------------------------------------------
+
+REFERENCE_STARTS = 16
+
+
+def _scalar_biquadratic(block, xi, nu):
+    val = np.einsum("ijkl,i,j,k,l->", block, xi, np.conj(xi), nu, np.conj(nu))
+    assert abs(val.imag) <= 1e-9 * (1.0 + abs(val))
+    return float(val.real)
+
+
+def _scalar_partial_matrix(block, vec, frozen):
+    if frozen == "nu":
+        A = np.einsum("ijkl,k,l->ij", block, vec, np.conj(vec))
+    else:
+        A = np.einsum("ijkl,i,j->kl", block, vec, np.conj(vec))
+    defect = float(np.max(np.abs(A - A.conj().T)))
+    assert defect <= 1e-10 * (1.0 + float(np.max(np.abs(A))))
+    return 0.5 * (A + A.conj().T).T
+
+
+def _scalar_alternate(block, xi, nu, minimize):
+    pick = 0 if minimize else -1
+    value = _scalar_biquadratic(block, xi, nu)
+    for _ in range(MAX_ALTERNATIONS):
+        _, vecs = np.linalg.eigh(_scalar_partial_matrix(block, nu, frozen="nu"))
+        xi = vecs[:, pick]
+        vals, vecs = np.linalg.eigh(_scalar_partial_matrix(block, xi, frozen="xi"))
+        nu = vecs[:, pick]
+        new_value = float(vals[pick])
+        slack = 1e-12 * (1.0 + abs(value))
+        if minimize:
+            assert new_value <= value + slack
+        else:
+            assert new_value >= value - slack
+        if abs(new_value - value) <= 1e-13 * (1.0 + abs(new_value)):
+            return new_value, xi, nu, True
+        value = new_value
+    return value, xi, nu, False
+
+
+def _scalar_classify(block, starts, seed):
+    """(verdict, stationary, min, max, min witness, max witness)."""
+    n = block.shape[0]
+    magnitude = float(np.max(np.abs(block)))
+    tol = VERDICT_RTOL * magnitude
+    rng = np.random.default_rng(seed)
+    if magnitude <= 0.0 or magnitude <= VERDICT_RTOL:
+        zero = np.zeros(n, dtype=complex)
+        return Verdict.FLAT, True, 0.0, 0.0, (zero, zero), (zero, zero)
+    best_min, best_max = np.inf, -np.inf
+    min_wit = max_wit = None
+    stationary = True
+    for _ in range(starts):
+        xi0, nu0 = _random_unit(rng, n), _random_unit(rng, n)
+        val, xi, nu, ok = _scalar_alternate(block, xi0, nu0, minimize=True)
+        stationary &= ok
+        if val < best_min:
+            best_min, min_wit = val, (xi, nu)
+        val, xi, nu, ok = _scalar_alternate(block, xi0, nu0, minimize=False)
+        stationary &= ok
+        if val > best_max:
+            best_max, max_wit = val, (xi, nu)
+    if best_min < -tol and best_max > tol:
+        verdict = Verdict.INDEFINITE
+    elif not stationary:
+        verdict = Verdict.INDETERMINATE
+    elif best_min >= -tol and best_max > tol:
+        verdict = Verdict.NON_NEGATIVE
+    elif best_max <= tol and best_min < -tol:
+        verdict = Verdict.NON_POSITIVE
+    else:
+        verdict = Verdict.INDETERMINATE
+    return verdict, stationary, best_min, best_max, min_wit, max_wit
+
+
+def _assert_matches_scalar(block, seed):
+    res = classify(block, starts=REFERENCE_STARTS, seed=seed)
+    verdict, stationary, lo, hi, min_wit, max_wit = _scalar_classify(
+        block, REFERENCE_STARTS, seed)
+    assert res.verdict == verdict
+    assert res.stationary == stationary
+    assert res.min_value == lo and res.max_value == hi
+    for got, want in zip(res.min_witness + res.max_witness, min_wit + max_wit):
+        assert np.array_equal(got, want)
+    return res
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.expected_verdict],
+                         ids=lambda c: c.key)
+def test_batched_classify_matches_scalar_loop_on_sign_slices(case, rng):
+    m = _sample_slice(rng, case.sign_slice)
+    omega = bismut_curvature(instantiate(case.family, **case.params), m)
+    _assert_matches_scalar(omega.mixed_block(), seed=11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("offset", [-0.25, 0.0, 0.25])
+def test_batched_classify_matches_scalar_loop_on_hopf(n, offset, rng):
+    gamma = gamma_threshold(n) + offset
+    block = hopf.bismut_mixed_block(hopf.HopfMetric(n, 1.0, gamma),
+                                    random_point(rng, n))
+    res = _assert_matches_scalar(block, seed=4)
+    assert res.verdict.is_nonnegative == (offset <= 0.0)
