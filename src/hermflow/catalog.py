@@ -776,8 +776,7 @@ def flow_preservation_check(case_key: str,
     for fc in flows:
         label = fc.name or "anon"
         result = integrate_invariant_flow(eqs, m0, fc, t_end=t_end, dt=dt,
-                                          bracket=bracket,
-                                          record_every=max(1, int(t_end / dt) // checkpoints))
+                                          bracket=bracket, checkpoints=checkpoints)
         if result.degenerated:
             degenerated.append(label)
         track = []

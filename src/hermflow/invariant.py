@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
+from .flows import Termination
 from .tensors import CurvatureTensor, FrameIndex, zero_threshold
 
 #: calibrated sign relating reported curvature components to g(R(A,B)C, D)
@@ -235,20 +237,23 @@ class MetricCoefficients:
             object.__setattr__(self, name, complex(getattr(self, name)))
 
     def validate(self) -> None:
+        # tested in this order; only the failing message is formatted
         r2, s2, t2, u, v, z = self.r2, self.s2, self.t2, self.u, self.v, self.z
-        checks = [
-            (r2 > 0, f"r2 > 0 fails: r2={r2!r}"),
-            (s2 > 0, f"s2 > 0 fails: s2={s2!r}"),
-            (t2 > 0, f"t2 > 0 fails: t2={t2!r}"),
-            (r2 * s2 > abs(u) ** 2, f"r2*s2 > |u|^2 fails: {r2 * s2!r} <= {abs(u) ** 2!r}"),
-            (r2 * t2 > abs(z) ** 2, f"r2*t2 > |z|^2 fails: {r2 * t2!r} <= {abs(z) ** 2!r}"),
-            (s2 * t2 > abs(v) ** 2, f"s2*t2 > |v|^2 fails: {s2 * t2!r} <= {abs(v) ** 2!r}"),
-        ]
+        if not r2 > 0:
+            raise MetricError(f"r2 > 0 fails: r2={r2!r}")
+        if not s2 > 0:
+            raise MetricError(f"s2 > 0 fails: s2={s2!r}")
+        if not t2 > 0:
+            raise MetricError(f"t2 > 0 fails: t2={t2!r}")
+        if not r2 * s2 > abs(u) ** 2:
+            raise MetricError(f"r2*s2 > |u|^2 fails: {r2 * s2!r} <= {abs(u) ** 2!r}")
+        if not r2 * t2 > abs(z) ** 2:
+            raise MetricError(f"r2*t2 > |z|^2 fails: {r2 * t2!r} <= {abs(z) ** 2!r}")
+        if not s2 * t2 > abs(v) ** 2:
+            raise MetricError(f"s2*t2 > |v|^2 fails: {s2 * t2!r} <= {abs(v) ** 2!r}")
         det = self.det_indicator()
-        checks.append((det > 0, f"8i*det(Xi) > 0 fails: {det!r}"))
-        for ok, message in checks:
-            if not ok:
-                raise MetricError(message)
+        if not det > 0:
+            raise MetricError(f"8i*det(Xi) > 0 fails: {det!r}")
 
     def det_indicator(self) -> float:
         """The determinant-positivity scalar ``r2 s2 t2 + 2 Re(i conj(u v) z)
@@ -573,47 +578,115 @@ def _coefficient_rates(K: np.ndarray) -> np.ndarray:
     ])
 
 
+# Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6
+# (1980); Hairer, Norsett and Wanner, Solving ODEs I, Table II.5.2).  Row i of
+# _DP_A gives stage i + 1; the last row holds the fifth-order weights, so the
+# seventh stage is the rate at the new state and is reused as the first stage
+# of the next step.  _DP_E is the fifth- minus the fourth-order weights.  The
+# flow is autonomous, so the stage times are not needed.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+
+#: tolerances of the local error estimate, per real coordinate of the state
+FLOW_RTOL = 1e-10
+FLOW_ATOL = 1e-12
+
+
+@dataclass
+class FlowStepStats:
+    """Work of the flow integrator, summed over the calls that share it.
+
+    ``step`` is the next trial step the controller proposes and ``t`` the
+    time reached; both carry over from one ``invariant_flow_step`` call to
+    the next.
+    """
+
+    step: float
+    t: float = 0.0
+    accepted: int = 0
+    rejected: int = 0
+    min_step: float = math.inf
+    tangent_evals: int = 0
+
+
 def invariant_flow_step(eqs: ComplexStructureEquations,
                         m: MetricCoefficients,
                         fc,
                         dt: float,
                         bracket: BracketTable | None = None,
                         t_now: float = 0.0,
-                        min_dt: float = 1e-6) -> MetricCoefficients:
-    """Advance the coefficient flow by ``dt`` with classical Runge-Kutta.
+                        min_dt: float = 1e-6,
+                        stats: FlowStepStats | None = None) -> MetricCoefficients:
+    """Advance the coefficient flow from ``t_now`` to exactly ``t_now + dt``
+    with error-controlled Dormand-Prince 5(4) steps.
 
-    When an intermediate or final state leaves the admissible cone the step
-    is retried as two halves; below ``min_dt`` the flow is declared
-    degenerate.
+    The first trial step is ``dt``, or ``stats.step`` when ``stats`` carries
+    the controller's proposal from an earlier call.  A stage whose state
+    leaves the admissible cone (``MetricError``) or whose tangent loses
+    Hermitian symmetry (``FlowDegenerationError``) rejects the step and
+    shrinks it five-fold.  As soon as the controller's next step falls below
+    ``min_dt``, after an accepted or a rejected step, the flow is declared
+    degenerate at the time reached.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if bracket is None:
         bracket = dualize(eqs)
+    if stats is None:
+        stats = FlowStepStats(step=dt)
+    stats.t = t = t_now
+    t_stop = t_now + dt
+    h = stats.step
 
     def rate(x: np.ndarray) -> np.ndarray:
         # an inadmissible state raises MetricError from frame_metric
+        stats.tangent_evals += 1
         mm = MetricCoefficients.from_array(x)
         return _coefficient_rates(hcf_tangent(eqs, mm, fc, bracket=bracket))
 
-    x0 = m.as_array()
-    try:
-        k1 = rate(x0)
-        k2 = rate(x0 + 0.5 * dt * k1)
-        k3 = rate(x0 + 0.5 * dt * k2)
-        k4 = rate(x0 + dt * k3)
-        x1 = x0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = MetricCoefficients.from_array(x1)
-        out.validate()
-        return out
-    except MetricError:
-        if 0.5 * dt < min_dt:
-            raise FlowDegenerationError(
-                f"flow left admissible cone at t={t_now:.6g}") from None
-        mid = invariant_flow_step(eqs, m, fc, 0.5 * dt, bracket=bracket,
-                                  t_now=t_now, min_dt=min_dt)
-        return invariant_flow_step(eqs, mid, fc, 0.5 * dt, bracket=bracket,
-                                   t_now=t_now + 0.5 * dt, min_dt=min_dt)
+    x = m.as_array()
+    k = np.empty((7, x.size))
+    k[0] = rate(x)
+    while t < t_stop:
+        landing = t + h >= t_stop
+        h_try = t_stop - t if landing else h
+        try:
+            for i in range(1, 7):
+                x_new = x + h_try * (_DP_A[i, :i] @ k[:i])
+                k[i] = rate(x_new)
+        except (MetricError, FlowDegenerationError):
+            stats.rejected += 1
+            h = 0.2 * h_try
+        else:
+            scale = FLOW_ATOL + FLOW_RTOL * np.maximum(np.abs(x), np.abs(x_new))
+            err = float(np.sqrt(np.mean((h_try * (_DP_E @ k) / scale) ** 2)))
+            grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            if err <= 1.0:
+                # x_new passed validate() in the seventh stage's frame_metric
+                stats.accepted += 1
+                stats.min_step = min(stats.min_step, h_try)
+                x = x_new
+                k[0] = k[6]
+                # a step shortened to land on t_stop says nothing against h
+                h = max(h, h_try * grow) if landing else h_try * grow
+                t = t_stop if landing else t + h_try
+                stats.t = t
+            else:
+                stats.rejected += 1
+                h = h_try * grow
+        if h < min_dt:
+            raise FlowDegenerationError(f"flow left admissible cone at t={t:.6g}")
+    stats.step = h
+    return MetricCoefficients.from_array(x)
 
 
 @dataclass(frozen=True)
@@ -622,6 +695,11 @@ class InvariantFlowResult:
     metrics: list
     degenerated: bool
     exit_time: float | None
+    termination: Termination
+    accepted: int
+    rejected: int
+    min_step: float
+    tangent_evals: int
 
 
 def integrate_invariant_flow(eqs: ComplexStructureEquations,
@@ -630,29 +708,41 @@ def integrate_invariant_flow(eqs: ComplexStructureEquations,
                              t_end: float,
                              dt: float = 1e-3,
                              bracket: BracketTable | None = None,
-                             record_every: int = 1) -> InvariantFlowResult:
-    """Drive ``invariant_flow_step`` to ``t_end``, recording the trajectory."""
+                             checkpoints: int = 1) -> InvariantFlowResult:
+    """Integrate the coefficient flow to ``t_end``, recording the state at
+    the times ``t_end * k / checkpoints``, k = 0, .., checkpoints.
+
+    Each record interval is one ``invariant_flow_step`` call; ``dt`` is the
+    first trial step.  A degenerate flow keeps the records before its exit.
+    """
+    if t_end <= 0 or dt <= 0:
+        raise ValueError("t_end and dt must be positive")
+    if checkpoints < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
     if bracket is None:
         bracket = dualize(eqs)
+    stats = FlowStepStats(step=dt)
     times = [0.0]
     metrics = [m0]
-    t = 0.0
-    m = m0
-    step_count = 0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
+    exit_time: float | None = None
+    for j in range(1, checkpoints + 1):
+        t_next = t_end * j / checkpoints
         try:
-            m = invariant_flow_step(eqs, m, fc, h, bracket=bracket, t_now=t)
+            m = invariant_flow_step(eqs, metrics[-1], fc, t_next - times[-1],
+                                    bracket=bracket, t_now=times[-1], stats=stats)
         except FlowDegenerationError:
-            return InvariantFlowResult(times=np.array(times), metrics=metrics,
-                                       degenerated=True, exit_time=t)
-        t += h
-        step_count += 1
-        if step_count % record_every == 0 or t >= t_end - 1e-12:
-            times.append(t)
-            metrics.append(m)
-    return InvariantFlowResult(times=np.array(times), metrics=metrics,
-                               degenerated=False, exit_time=None)
+            exit_time = stats.t
+            break
+        times.append(t_next)
+        metrics.append(m)
+    degenerated = exit_time is not None
+    return InvariantFlowResult(
+        times=np.array(times), metrics=metrics, degenerated=degenerated,
+        exit_time=exit_time,
+        termination=(Termination.LEFT_ADMISSIBLE_CONE if degenerated
+                     else Termination.REACHED_T_END),
+        accepted=stats.accepted, rejected=stats.rejected,
+        min_step=stats.min_step, tangent_evals=stats.tangent_evals)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,26 @@ def test_metric_rejects_u_too_large():
         m.validate()
 
 
+@pytest.mark.parametrize("m,message", [
+    (MetricCoefficients(-1.0, 1.0, 1.0), "r2 > 0 fails: r2=-1.0"),
+    (MetricCoefficients(1.0, 0.0, 1.0), "s2 > 0 fails: s2=0.0"),
+    (MetricCoefficients(1.0, 1.0, -0.5), "t2 > 0 fails: t2=-0.5"),
+    (MetricCoefficients(1.0, 1.0, 1.0, u=2.0), "r2*s2 > |u|^2 fails: 1.0 <= 4.0"),
+    (MetricCoefficients(1.0, 1.0, 1.0, z=2j), "r2*t2 > |z|^2 fails: 1.0 <= 4.0"),
+    (MetricCoefficients(1.0, 1.0, 1.0, v=1.5), "s2*t2 > |v|^2 fails: 1.0 <= 2.25"),
+    (MetricCoefficients(1.0, 1.0, 1.0, u=0.6, v=0.6, z=0.6j),
+     "8i*det(Xi) > 0 fails: np.float64(-0.512)"),
+    # several failures: the first condition in order is reported
+    (MetricCoefficients(-1.0, 1.0, 1.0, u=2.0, z=2.0), "r2 > 0 fails: r2=-1.0"),
+    (MetricCoefficients(float("nan"), 1.0, 1.0), "r2 > 0 fails: r2=nan"),
+], ids=["r2", "s2", "t2", "u", "z", "v", "det", "first-wins", "nan"])
+def test_metric_validate_messages(m, message):
+    with pytest.raises(MetricError) as info:
+        m.validate()
+    assert str(info.value) == message
+    assert not m.is_admissible()
+
+
 def test_metric_determinant_indicator_value():
     m = MetricCoefficients(1.0, 1.0, 1.0, z=0.5)
     assert m.det_indicator() == pytest.approx(0.75)
