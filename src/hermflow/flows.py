@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,35 +136,72 @@ class FlowTrajectory:
         }
 
 
-def _rk4_step(state: np.ndarray, fc: FlowCoefficients, n: int, dt: float
-              ) -> np.ndarray:
-    def rhs(y: np.ndarray) -> np.ndarray:
-        ad, bd = ode_rhs((y[0], y[1]), fc, n)
-        return np.array([ad, bd])
+def _rk4_step(y: tuple[float, float], k1: tuple[float, float],
+              fc: FlowCoefficients, n: int, h: float) -> tuple[float, float]:
+    """One classical Runge-Kutta step from ``y`` with its slope ``k1``
+    already evaluated; an inadmissible stage raises ``ValueError``."""
+    a, b = y
+    k1a, k1b = k1
+    k2a, k2b = ode_rhs((a + 0.5 * h * k1a, b + 0.5 * h * k1b), fc, n)
+    k3a, k3b = ode_rhs((a + 0.5 * h * k2a, b + 0.5 * h * k2b), fc, n)
+    k4a, k4b = ode_rhs((a + h * k3a, b + h * k3b), fc, n)
+    return (a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
+            b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b))
 
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+def check_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_inputs(alpha0: float, beta0: float, fc: FlowCoefficients,
+                  t_end: float, dt: float) -> None:
+    check_finite(alpha0=alpha0, beta0=beta0, t_end=t_end, dt=dt,
+                 **dict(zip("abcd", fc.as_tuple())))
+    if t_end <= 0 or dt <= 0:
+        raise ValueError("t_end and dt must be positive")
+    _check_state(alpha0, beta0)
 
 
 def integrate_fixed_step(alpha0: float, beta0: float, fc: FlowCoefficients,
                          n: int, t_end: float, dt: float) -> tuple[float, float]:
     """Plain fixed-step Runge-Kutta endpoint, exposed for order checks."""
-    _check_state(alpha0, beta0)
+    _check_inputs(alpha0, beta0, fc, t_end, dt)
     steps = int(round(t_end / dt))
     if abs(steps * dt - t_end) > 1e-12 * t_end:
         raise ValueError("t_end must be an integer multiple of dt")
-    state = np.array([float(alpha0), float(beta0)])
+    y = (float(alpha0), float(beta0))
     for _ in range(steps):
-        state = _rk4_step(state, fc, n, dt)
-        _check_state(state[0], state[1])
-    return float(state[0]), float(state[1])
+        y = _rk4_step(y, ode_rhs(y, fc, n), fc, n, dt)
+        _check_state(*y)
+    return y
 
 
 #: per-step relative tolerance of the ratio, for the step-doubling control
 STEP_GAMMA_TOL = 1e-10
+
+
+def _doubled_step(y: tuple[float, float], k1: tuple[float, float],
+                  fc: FlowCoefficients, n: int, h: float
+                  ) -> tuple[float, float] | None:
+    """Two half steps from ``y``, or None when a stage or a result leaves the
+    cone or the ratio differs from one full step by more than
+    ``STEP_GAMMA_TOL``.  The full and the first half step share ``k1``."""
+    try:
+        full = _rk4_step(y, k1, fc, n, h)
+        _check_state(*full)
+        half = _rk4_step(y, k1, fc, n, 0.5 * h)
+        _check_state(*half)
+        fine = _rk4_step(half, ode_rhs(half, fc, n), fc, n, 0.5 * h)
+        _check_state(*fine)
+    except (ValueError, OverflowError):
+        return None
+    gamma_err = abs(full[1] / full[0] - fine[1] / fine[0])
+    if gamma_err > STEP_GAMMA_TOL * (1.0 + abs(fine[1] / fine[0])):
+        return None
+    return fine
 
 
 def integrate(alpha0: float, beta0: float, fc: FlowCoefficients, n: int,
@@ -178,41 +216,31 @@ def integrate(alpha0: float, beta0: float, fc: FlowCoefficients, n: int,
     with the cone exit recorded (a diagnostic, not an error).  Convergence
     of the ratio to the static value is declared after it stays within
     ``CONVERGENCE_TOL`` for ``CONVERGENCE_STEPS`` consecutive steps.
+
+    The state is a pair of floats, and its slope is evaluated once for the
+    full step, the first half step and every halved retry.  A slope that
+    overflows a double rejects the step like an inadmissible stage.
     """
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    _check_state(alpha0, beta0)
+    _check_inputs(alpha0, beta0, fc, t_end, dt)
     sc = scalars(fc, n)
-    state = np.array([float(alpha0), float(beta0)])
+    y = (float(alpha0), float(beta0))
     t = 0.0
     times = [0.0]
-    alphas = [state[0]]
-    betas = [state[1]]
+    alphas = [y[0]]
+    betas = [y[1]]
     near_static = 0
     termination = Termination.REACHED_T_END
     exit_time: float | None = None
 
-    def attempt(y: np.ndarray, h: float) -> np.ndarray | None:
-        """Two half steps with an accuracy check against one full step."""
-        try:
-            full = _rk4_step(y, fc, n, h)
-            _check_state(full[0], full[1])
-            half = _rk4_step(y, fc, n, 0.5 * h)
-            _check_state(half[0], half[1])
-            fine = _rk4_step(half, fc, n, 0.5 * h)
-            _check_state(fine[0], fine[1])
-        except ValueError:
-            return None
-        gamma_err = abs(full[1] / full[0] - fine[1] / fine[0])
-        if gamma_err > STEP_GAMMA_TOL * (1.0 + abs(fine[1] / fine[0])):
-            return None
-        return fine
-
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
+        try:
+            k1 = ode_rhs(y, fc, n)
+        except OverflowError:
+            k1 = None
         candidate = None
-        while h >= MIN_DT:
-            candidate = attempt(state, h)
+        while k1 is not None and h >= MIN_DT:
+            candidate = _doubled_step(y, k1, fc, n, h)
             if candidate is not None:
                 break
             h *= 0.5
@@ -220,17 +248,17 @@ def integrate(alpha0: float, beta0: float, fc: FlowCoefficients, n: int,
             termination = Termination.LEFT_ADMISSIBLE_CONE
             exit_time = t
             break
-        state = candidate
+        y = candidate
         t += h
         times.append(t)
-        alphas.append(state[0])
-        betas.append(state[1])
-        if state[0] < ALPHA_EXIT_FRACTION * alpha0:
+        alphas.append(y[0])
+        betas.append(y[1])
+        if y[0] < ALPHA_EXIT_FRACTION * alpha0:
             termination = Termination.LEFT_ADMISSIBLE_CONE
             exit_time = t
             break
         if sc.static_ratio is not None:
-            if abs(state[1] / state[0] - sc.static_ratio) < CONVERGENCE_TOL:
+            if abs(y[1] / y[0] - sc.static_ratio) < CONVERGENCE_TOL:
                 near_static += 1
                 if near_static >= CONVERGENCE_STEPS:
                     termination = Termination.CONVERGED

@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .flows import Termination
+from .flows import Termination, check_finite
 from .tensors import CurvatureTensor, FrameIndex, zero_threshold
 
 #: calibrated sign relating reported curvature components to g(R(A,B)C, D)
@@ -637,6 +637,7 @@ def invariant_flow_step(eqs: ComplexStructureEquations,
     ``min_dt``, after an accepted or a rejected step, the flow is declared
     degenerate at the time reached.
     """
+    check_finite(dt=dt, t_now=t_now)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if bracket is None:
@@ -715,6 +716,7 @@ def integrate_invariant_flow(eqs: ComplexStructureEquations,
     Each record interval is one ``invariant_flow_step`` call; ``dt`` is the
     first trial step.  A degenerate flow keeps the records before its exit.
     """
+    check_finite(t_end=t_end, dt=dt, **dict(zip("abcd", fc.as_tuple())))
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     if checkpoints < 1:

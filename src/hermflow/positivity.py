@@ -4,7 +4,8 @@ The object classified is the real biquadratic ``q(xi, nu) =
 Omega[i, j, k, l] xi_i conj(xi_j) nu_k conj(nu_l)`` over pairs of unit
 vectors.  Freezing one argument leaves a Hermitian eigenvalue problem, so
 the extremes are located by alternating exact eigen-minimization (resp.
-maximization) from many random starts; witnesses are returned and
+maximization) from many random starts and from the extreme eigenvectors
+of the form's two Hermitian matrices; witnesses are returned and
 re-certified by direct evaluation.
 """
 
@@ -101,6 +102,31 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _spectral_starts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Four start pairs (xi, nu) read off the extreme eigenvectors of the two
+    Hermitian matrices of the biquadratic: rows 0, 1 from the bottom
+    eigenvectors of ``M`` and ``M^G``, rows 2, 3 from their top ones.
+
+    ``M[(i,k),(j,l)] = block[i,j,k,l]`` has ``q = w^H M w`` at ``w =
+    conj(xi (x) nu)``, and the partial transpose ``M^G[(i,l),(j,k)] =
+    block[i,j,k,l]`` has it at ``w = conj(xi) (x) nu``.  An extreme
+    eigenvector reshaped to an n x n matrix ``W`` is rounded to a product
+    vector through its leading singular pair: ``conj(W) ~ xi nu^T`` for
+    ``M`` and ``W ~ conj(xi) nu^T`` for ``M^G``.
+    """
+    n = block.shape[0]
+    mats = np.stack([block.transpose(0, 2, 1, 3).reshape(n * n, n * n),
+                     block.transpose(0, 3, 1, 2).reshape(n * n, n * n)])
+    _, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
+    # rows: M bottom, M^G bottom, M top, M^G top
+    W = vecs[[0, 1, 0, 1], :, [0, 0, -1, -1]].reshape(4, n, n)
+    W[0::2] = W[0::2].conj()
+    u, _, vh = np.linalg.svd(W)
+    xi = u[:, :, 0]
+    xi[1::2] = xi[1::2].conj()
+    return xi, vh[:, 0, :]
+
+
 def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray,
                minimize: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,7 +173,8 @@ def classify(omega: CurvatureTensor | np.ndarray,
     ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
     components are then required to vanish; otherwise the call refuses) or a
     raw mixed block of shape (n, n, n, n).  The minimum and the maximum are
-    searched from the same ``starts`` random start pairs, all in one batch.
+    searched from the same ``starts`` random start pairs, and from two
+    spectral start pairs each (``_spectral_starts``), all in one batch.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
@@ -172,13 +199,20 @@ def classify(omega: CurvatureTensor | np.ndarray,
 
     pairs = [(_random_unit(rng, n), _random_unit(rng, n)) for _ in range(starts)]
     xi0, nu0 = (np.array(v) for v in zip(*pairs))
-    # rows [0, starts) minimize, rows [starts, 2 starts) maximize
+    xi_s, nu_s = _spectral_starts(block)
+    # rows [0, S) minimize and [S, 2S) maximize from the random starts; the
+    # four spectral rows follow, two minimizing, then two maximizing
+    minimize = np.concatenate([np.arange(2 * starts) < starts,
+                               [True, True, False, False]])
     values, xis, nus, ok = _alternate(
-        block, np.concatenate([xi0, xi0]), np.concatenate([nu0, nu0]),
-        minimize=np.arange(2 * starts) < starts)
-    # first best wins, as argmin/argmax return the first extreme
-    i_min = int(np.argmin(values[:starts]))
-    i_max = starts + int(np.argmax(values[starts:]))
+        block, np.concatenate([xi0, xi0, xi_s]), np.concatenate([nu0, nu0, nu_s]),
+        minimize=minimize)
+    # first best wins, as argmin/argmax return the first extreme, so a tie
+    # goes to a random start
+    min_rows = np.flatnonzero(minimize)
+    max_rows = np.flatnonzero(~minimize)
+    i_min = int(min_rows[np.argmin(values[min_rows])])
+    i_max = int(max_rows[np.argmax(values[max_rows])])
     best_min, min_wit = float(values[i_min]), (xis[i_min], nus[i_min])
     best_max, max_wit = float(values[i_max]), (xis[i_max], nus[i_max])
     stationary = bool(np.all(ok))

@@ -124,6 +124,18 @@ def test_flow_preservation_nii_slice():
     assert rep.verdict_preserved
 
 
+@pytest.mark.parametrize("key,seed", [("Np/iwasawa", 1851267298),
+                                      ("Nii/main", 1228853484),
+                                      ("Nii/main", 554293607)])
+def test_flow_preservation_sees_minima_the_random_starts_miss(key, seed):
+    # at the last checkpoint of one fast random flow every one of the 8
+    # random starts stalls at a zero-valued stationary point; the spectral
+    # starts reach the negative minimum, so the verdict stays INDEFINITE
+    rep = flow_preservation_check(key, extra_flows=2, t_end=0.5, dt=2e-3,
+                                  seed=seed, starts=8)
+    assert rep.verdict_preserved
+
+
 def test_flow_preservation_flat_case():
     rep = flow_preservation_check("Si/flat", extra_flows=2, t_end=0.15,
                                   dt=2e-3, seed=2)

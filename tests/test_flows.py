@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermflow.flows import (FlowCoefficients, gamma_rate,
-                            integrate, integrate_fixed_step, named_flow,
-                            ode_rhs, preserves_nonnegativity, scalars,
-                            trajectory_csv, trajectory_json)
+from hermflow import cli, flows
+from hermflow.flows import (ALPHA_EXIT_FRACTION, CONVERGENCE_STEPS,
+                            CONVERGENCE_TOL, MIN_DT, STEP_GAMMA_TOL,
+                            FlowCoefficients, FlowTrajectory, Termination,
+                            _check_state, gamma_rate, integrate,
+                            integrate_fixed_step, named_flow, ode_rhs,
+                            preserves_nonnegativity, scalars, trajectory_csv,
+                            trajectory_json)
 
 coeff = st.floats(min_value=-2, max_value=2, allow_nan=False)
 
@@ -184,3 +190,222 @@ def test_trajectory_export_round_trip(tmp_path):
     assert doc["summary"]["F"] == pytest.approx(-3.0)
     assert doc["t"][0] == 0.0
     assert len(doc["gamma"]) == len(traj.times)
+
+
+# ---------------------------------------------------------------------------
+# reference: the step-doubling loop on numpy state vectors that the scalar
+# stepper replaced, which recomputed the slope at the state in each step.
+# The scalar stepper must reproduce it bit for bit, since the CONVERGED rule
+# counts steps and `hermflow flow` prints every state.
+# ---------------------------------------------------------------------------
+
+def _reference_rk4_step(state, fc, n, dt):
+    def rhs(y):
+        ad, bd = ode_rhs((y[0], y[1]), fc, n)
+        return np.array([ad, bd])
+
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _reference_fixed_step(alpha0, beta0, fc, n, t_end, dt):
+    state = np.array([float(alpha0), float(beta0)])
+    for _ in range(int(round(t_end / dt))):
+        state = _reference_rk4_step(state, fc, n, dt)
+        _check_state(state[0], state[1])
+    return float(state[0]), float(state[1])
+
+
+def _reference_integrate(alpha0, beta0, fc, n, t_end, dt=1e-3):
+    sc = scalars(fc, n)
+    state = np.array([float(alpha0), float(beta0)])
+    t = 0.0
+    times, alphas, betas = [0.0], [state[0]], [state[1]]
+    near_static = 0
+    termination = Termination.REACHED_T_END
+    exit_time = None
+
+    def attempt(y, h):
+        try:
+            full = _reference_rk4_step(y, fc, n, h)
+            _check_state(full[0], full[1])
+            half = _reference_rk4_step(y, fc, n, 0.5 * h)
+            _check_state(half[0], half[1])
+            fine = _reference_rk4_step(half, fc, n, 0.5 * h)
+            _check_state(fine[0], fine[1])
+        except ValueError:
+            return None
+        gamma_err = abs(full[1] / full[0] - fine[1] / fine[0])
+        if gamma_err > STEP_GAMMA_TOL * (1.0 + abs(fine[1] / fine[0])):
+            return None
+        return fine
+
+    while t < t_end - 1e-12:
+        h = min(dt, t_end - t)
+        candidate = None
+        while h >= MIN_DT:
+            candidate = attempt(state, h)
+            if candidate is not None:
+                break
+            h *= 0.5
+        if candidate is None:
+            termination = Termination.LEFT_ADMISSIBLE_CONE
+            exit_time = t
+            break
+        state = candidate
+        t += h
+        times.append(t)
+        alphas.append(state[0])
+        betas.append(state[1])
+        if state[0] < ALPHA_EXIT_FRACTION * alpha0:
+            termination = Termination.LEFT_ADMISSIBLE_CONE
+            exit_time = t
+            break
+        if sc.static_ratio is not None:
+            if abs(state[1] / state[0] - sc.static_ratio) < CONVERGENCE_TOL:
+                near_static += 1
+                if near_static >= CONVERGENCE_STEPS:
+                    termination = Termination.CONVERGED
+                    break
+            else:
+                near_static = 0
+    alphas, betas = np.array(alphas), np.array(betas)
+    return FlowTrajectory(n=n, coefficients=fc, times=np.array(times),
+                          alphas=alphas, betas=betas, gammas=betas / alphas,
+                          termination=termination, exit_time=exit_time)
+
+
+def _assert_same_trajectory(got, want):
+    for field in ("times", "alphas", "betas", "gammas"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.termination == want.termination
+    assert got.exit_time == want.exit_time
+
+
+DOUBLING_DTS = (1e-3, 1e-2, 0.1)
+
+
+@pytest.mark.parametrize("dt", DOUBLING_DTS)
+@pytest.mark.parametrize("name", sorted(flows.NAMED_FLOWS))
+def test_scalar_stepper_matches_reference_on_named_flows(name, dt):
+    fc = named_flow(name)
+    for n in (2, 3, 4, 5):
+        for gamma0 in (-0.9, 0.0, 1.0):
+            args = (1.0, gamma0, fc, n, 10.0, dt)
+            _assert_same_trajectory(integrate(*args), _reference_integrate(*args))
+
+
+def _random_flows(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        fc = FlowCoefficients(*rng.uniform(-1.0, 1.0, 4))
+        alpha0 = rng.uniform(0.3, 3.0)
+        yield (alpha0, alpha0 * rng.uniform(-0.95, 2.0), fc,
+               int(rng.integers(2, 6)), rng.uniform(0.2, 3.0))
+
+
+@pytest.mark.parametrize("dt", DOUBLING_DTS)
+def test_scalar_stepper_matches_reference_on_random_flows(dt):
+    ends = set()
+    for alpha0, beta0, fc, n, t_end in _random_flows(20, seed=3):
+        got = integrate(alpha0, beta0, fc, n, t_end, dt)
+        _assert_same_trajectory(got, _reference_integrate(alpha0, beta0, fc, n,
+                                                          t_end, dt))
+        ends.add(got.termination)
+    assert ends == {Termination.LEFT_ADMISSIBLE_CONE, Termination.REACHED_T_END}
+
+
+@pytest.mark.parametrize("alpha0,beta0,fc,n", [
+    # the slope at the start state overflows
+    (1e-160, 1.0, named_flow("gradient"), 3),
+    # the start slope is finite, a stage slope overflows
+    (4.553156131004149e-151, 6.180175910297207,
+     FlowCoefficients(-0.5008431017786723, 1.4515816562825492,
+                      0.8275058577187755, -0.8060146636635293), 4),
+])
+def test_overflowing_slope_ends_the_flow_like_the_reference(alpha0, beta0, fc, n):
+    # beta/alpha near 1e155 squares beyond a double: Python floats raise
+    # OverflowError where numpy scalars warned and went on with inf and nan
+    args = (alpha0, beta0, fc, n, 1.0, 0.1)
+    got = integrate(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_trajectory(got, _reference_integrate(*args))
+    assert got.termination is Termination.LEFT_ADMISSIBLE_CONE
+    assert got.exit_time == 0.0
+
+
+def test_scalar_fixed_step_matches_reference():
+    # the Ustinovskiy flow leaves the cone before t = 0.4 for n >= 3, and
+    # both steppers must then refuse the same endpoint
+    refused = 0
+    for name in sorted(flows.NAMED_FLOWS):
+        for n in (2, 3, 4, 5):
+            for dt in (0.02, 0.01, 0.005):
+                args = (1.0, 0.3, named_flow(name), n, 0.4, dt)
+                try:
+                    want = _reference_fixed_step(*args)
+                except ValueError:
+                    refused += 1
+                    with pytest.raises(ValueError, match="fails"):
+                        integrate_fixed_step(*args)
+                else:
+                    assert integrate_fixed_step(*args) == want
+    assert 0 < refused < 36
+
+
+@pytest.mark.parametrize("argv,termination", [
+    (["flow", "--name=pluriclosed", "--n=2", "--alpha0=1", "--beta0=0.5"],
+     "converged"),
+    (["flow", "--coeffs=1,0,0,0", "--n=4", "--alpha0=1.3", "--beta0=0.2",
+      "--t-end=0.7", "--dt=0.01", "--format=json"], "reached_t_end"),
+    (["flow", "--coeffs=-1.5,0.4,1.2,-0.3", "--n=3", "--alpha0=0.8",
+      "--beta0=0.1", "--format=json"], "left_admissible_cone"),
+])
+def test_flow_command_bytes_match_reference(argv, termination, capsys,
+                                            monkeypatch):
+    outputs = []
+    for integrator in (integrate, _reference_integrate):
+        monkeypatch.setattr(flows, "integrate", integrator)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == outputs[1].out
+    assert outputs[0].err == outputs[1].err
+    assert f'"termination": "{termination}"' in outputs[0].err
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs are refused before any step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha0", "beta0", "t_end", "dt",
+                                  "a", "b", "c", "d"])
+def test_integrators_reject_nonfinite_inputs(name, bad):
+    args = {"alpha0": 1.0, "beta0": 0.0, "t_end": 1.0, "dt": 0.1}
+    coeffs = {"a": 0.5, "b": -0.25, "c": -0.5, "d": 1.0}
+    (coeffs if name in coeffs else args)[name] = bad
+    fc = FlowCoefficients(**coeffs)
+    for integrator in (integrate, integrate_fixed_step):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            integrator(args["alpha0"], args["beta0"], fc, 3,
+                       t_end=args["t_end"], dt=args["dt"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--coeffs=nan,0,0,0", "--alpha0=1", "--beta0=0"],
+    ["--coeffs=1,inf,0,0", "--alpha0=1", "--beta0=0"],
+    ["--name=gradient", "--alpha0=inf", "--beta0=0"],
+    ["--name=gradient", "--alpha0=1", "--beta0=nan"],
+    ["--name=gradient", "--alpha0=1", "--beta0=0", "--t-end=nan"],
+    ["--name=gradient", "--alpha0=1", "--beta0=0", "--t-end=inf"],
+    ["--name=gradient", "--alpha0=1", "--beta0=0", "--dt=nan"],
+    ["--name=gradient", "--alpha0=1", "--beta0=0", "--dt=inf"],
+])
+def test_flow_command_rejects_nonfinite_inputs(argv, capsys):
+    assert cli.main(["flow", "--n=3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err

@@ -65,6 +65,23 @@ def test_flow_rejects_bad_arguments():
         integrate_invariant_flow(eqs, m0, fc, t_end=0.5, dt=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flow_rejects_nonfinite_arguments(bad):
+    # a NaN end time used to return the times [0, nan] as reaching t_end,
+    # and a NaN step never returned
+    eqs, m0 = _nii_main()
+    fc = named_flow("gradient")
+    with pytest.raises(ValueError, match="^t_end must be finite"):
+        integrate_invariant_flow(eqs, m0, fc, t_end=bad)
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        integrate_invariant_flow(eqs, m0, fc, t_end=0.5, dt=bad)
+    with pytest.raises(ValueError, match="^c must be finite"):
+        integrate_invariant_flow(eqs, m0, FlowCoefficients(0.5, -0.25, bad, 1.0),
+                                 t_end=0.5)
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        invariant.invariant_flow_step(eqs, m0, fc, bad)
+
+
 def test_blow_up_is_declared_degenerate_without_stalling():
     # the controller's step collapses towards the blow-up near t = 0.4407;
     # without the degeneration test after accepted steps this flow spent

@@ -6,8 +6,9 @@ from hermflow.catalog import CASES, _sample_slice, bismut_curvature, instantiate
 from hermflow.invariant import MetricCoefficients
 from hermflow.positivity import (MAX_ALTERNATIONS, VERDICT_RTOL,
                                  CplxViolationError, Verdict, _alternate,
-                                 _partial_matrix, _random_unit, biquadratic,
-                                 classify, gamma_threshold)
+                                 _partial_matrix, _random_unit,
+                                 _spectral_starts, biquadratic, classify,
+                                 gamma_threshold)
 from tests.conftest import random_point
 
 
@@ -212,6 +213,14 @@ def _scalar_classify(block, starts, seed):
         stationary &= ok
         if val > best_max:
             best_max, max_wit = val, (xi, nu)
+    # the spectral rows come after every random start, so ties stay there
+    for xi0, nu0, minimize in zip(*_spectral_starts(block), (True, True, False, False)):
+        val, xi, nu, ok = _scalar_alternate(block, xi0, nu0, minimize=minimize)
+        stationary &= ok
+        if minimize and val < best_min:
+            best_min, min_wit = val, (xi, nu)
+        if not minimize and val > best_max:
+            best_max, max_wit = val, (xi, nu)
     if best_min < -tol and best_max > tol:
         verdict = Verdict.INDEFINITE
     elif not stationary:
@@ -253,3 +262,18 @@ def test_batched_classify_matches_scalar_loop_on_hopf(n, offset, rng):
                                     random_point(rng, n))
     res = _assert_matches_scalar(block, seed=4)
     assert res.verdict.is_nonnegative == (offset <= 0.0)
+
+
+def test_spectral_starts_reach_a_product_minimum(rng):
+    # q(xi, nu) = -|<xi, a>|^2 |<nu, b>|^2 has its minimum -1 at (a, b); the
+    # bottom eigenvector of M and of its partial transpose is that product
+    # vector, so both minimizing spectral starts sit on it already
+    n = 3
+    a, b = _random_unit(rng, n), _random_unit(rng, n)
+    block = -np.einsum("i,j,k,l->ijkl", a.conj(), a, b.conj(), b)
+    xis, nus = _spectral_starts(block)
+    assert xis.shape == nus.shape == (4, n)
+    assert np.allclose(np.linalg.norm(xis, axis=1), 1.0)
+    assert np.allclose(np.linalg.norm(nus, axis=1), 1.0)
+    for xi, nu in zip(xis[:2], nus[:2]):
+        assert biquadratic(block, xi, nu) == pytest.approx(-1.0, abs=1e-12)
