@@ -24,7 +24,7 @@ from .flows import NAMED_FLOWS, FlowCoefficients
 from .invariant import (BracketTable, ComplexStructureEquations,
                         ConnectionKind, MetricCoefficients, check_cplx,
                         connection, curvature, dualize, frame_metric,
-                        integrate_invariant_flow, metric_inverse_block,
+                        integrate_invariant_flows, metric_inverse_block,
                         sample_admissible_metric)
 from .positivity import classify
 from .tensors import CurvatureTensor
@@ -767,32 +767,32 @@ def flow_preservation_check(case_key: str,
         a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
         flows.append(FlowCoefficients(a, b, c, d, name=f"random-{k}"))
 
+    labels = [fc.name or "anon" for fc in flows]
     zero_names = [name for name, val in (case.sign_slice or {}).items()
                   if name in ("u", "v", "z") and val == 0]
     slice_drift = 0.0
     flat_drift: float | None = 0.0 if case.expected_verdict == "flat" else None
-    verdicts: dict = {}
-    degenerated: list[str] = []
-    for fc in flows:
-        label = fc.name or "anon"
-        result = integrate_invariant_flow(eqs, m0, fc, t_end=t_end, dt=dt,
-                                          bracket=bracket, checkpoints=checkpoints)
-        if result.degenerated:
-            degenerated.append(label)
-        track = []
+    results = integrate_invariant_flows(eqs, m0, flows, t_end=t_end, dt=dt,
+                                        bracket=bracket, checkpoints=checkpoints)
+    # the checkpoint seeds are drawn flow by flow, record by record, and all
+    # checkpoints of the case are classified in one batch
+    tensors, seeds, owners = [], [], []
+    for label, result in zip(labels, results):
         for m in result.metrics:
             for name in zero_names:
                 slice_drift = max(slice_drift, abs(getattr(m, name)))
             omega = bismut_curvature(eqs, m, bracket)
+            owners.append(label)
             if flat_drift is not None:
                 flat_drift = max(flat_drift, omega.magnitude)
-                track.append("flat")
             else:
-                res = classify(omega, starts=starts,
-                               seed=int(rng.integers(0, 2 ** 31)))
-                track.append(res.verdict.value)
-        verdicts[label] = track
-    return FlowPreservationReport(key=case_key,
-                                  flows=[fc.name or "anon" for fc in flows],
-                                  slice_drift=slice_drift, verdicts=verdicts,
-                                  flat_drift=flat_drift, degenerated=degenerated)
+                tensors.append(omega)
+                seeds.append(int(rng.integers(0, 2 ** 31)))
+    classes = iter(classify(tensors, starts=starts, seed=seeds))
+    verdicts: dict = {label: [] for label in labels}
+    for label in owners:
+        verdicts[label].append(next(classes).verdict.value if flat_drift is None else "flat")
+    return FlowPreservationReport(
+        key=case_key, flows=labels, slice_drift=slice_drift, verdicts=verdicts,
+        flat_drift=flat_drift,
+        degenerated=[label for label, r in zip(labels, results) if r.degenerated])

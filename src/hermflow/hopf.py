@@ -65,15 +65,6 @@ def metric_at(h: HopfMetric, z: np.ndarray) -> np.ndarray:
     return h.alpha * np.eye(h.n) / n2 + h.beta * np.outer(zb, z) / n2 ** 2
 
 
-def inverse_metric_at(h: HopfMetric, z: np.ndarray) -> np.ndarray:
-    """Matrix inverse of ``metric_at``; as a tensor ``g^{i j~} = Ginv[j, i]``."""
-    z = _check_point(h, z)
-    n2 = float(np.vdot(z, z).real)
-    zb = np.conj(z)
-    coef = h.beta / (h.alpha + h.beta)
-    return (n2 / h.alpha) * (np.eye(h.n) - coef * np.outer(zb, z) / n2)
-
-
 def bismut_christoffels_at(h: HopfMetric, z: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Bismut Christoffel symbols ``(pure, mixed)``.
@@ -249,13 +240,6 @@ def chern_data_at(h: HopfMetric, z: np.ndarray) -> ChernData:
     q4 = f2 * ratio * (n - 1) * (eye - proj_z) / n2
     return ChernData(christoffels=gamma, curvature=curv, trace2=trace2,
                      torsion=torsion, q1=q1, q2=q2, q3=q3, q4=q4)
-
-
-def chern_curvature_lowered(h: HopfMetric, z: np.ndarray) -> np.ndarray:
-    """``Omega^{Ch}[i, j, k, l]`` with the endomorphism index lowered."""
-    data = chern_data_at(h, z)
-    G = metric_at(h, z)
-    return np.einsum("ijkm,ml->ijkl", data.curvature, G)
 
 
 def hcf_tangent_at(h: HopfMetric, fc, z: np.ndarray) -> np.ndarray:

@@ -205,15 +205,6 @@ def _check_reconstruction(eqs: ComplexStructureEquations, table: BracketTable) -
         raise IntegrabilityError(f"bracket dualization mismatch {err:.3e}")
 
 
-def conjugation_symmetry_residual(table: BracketTable) -> float:
-    """Max deviation from ``[conj a, conj b] = conj([a, b])``."""
-    n = table.n
-    f = table.f
-    swap = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
-    swapped = np.conj(f[np.ix_(swap, swap, swap)])
-    return float(np.max(np.abs(f - swapped)))
-
-
 # ---------------------------------------------------------------------------
 # invariant metrics
 # ---------------------------------------------------------------------------
@@ -371,17 +362,21 @@ def _j_diagonal(n: int) -> np.ndarray:
 
 
 def _koszul_lowered(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``K[A,B,C] = g(grad^{LC}_{e_A} e_B, e_C)`` for invariant fields."""
-    gb = np.einsum("abe,ec->abc", f, g)
-    return 0.5 * (gb - np.einsum("bca->abc", gb) + np.einsum("cab->abc", gb))
+    """``K[A,B,C] = g(grad^{LC}_{e_A} e_B, e_C)`` for invariant fields, on a
+    stack of metrics ``g[..., A, B]``."""
+    gb = np.einsum("abe,...ec->...abc", f, g)
+    # gb[..., b, c, a] and gb[..., c, a, b] reordered to [..., a, b, c]
+    return 0.5 * (gb - gb.swapaxes(-1, -2).swapaxes(-2, -3)
+                  + gb.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
 def d_omega(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Exterior derivative of the invariant 2-form ``omega(X, Y) = g(JX, Y)``."""
+    """Exterior derivative of the invariant 2-form ``omega(X, Y) = g(JX, Y)``,
+    on a stack of metrics ``g[..., A, B]``."""
     jd = _j_diagonal(n)
     w = jd[:, None] * g
-    wb = np.einsum("abe,ec->abc", f, w)
-    return -wb + np.einsum("acb->abc", wb) - np.einsum("bca->abc", wb)
+    wb = np.einsum("abe,...ec->...abc", f, w)
+    return -wb + wb.swapaxes(-1, -2) - wb.swapaxes(-1, -2).swapaxes(-2, -3)
 
 
 def connection(kind: ConnectionKind,
@@ -409,34 +404,6 @@ def connection(kind: ConnectionKind,
     ginv = np.linalg.inv(g)
     gamma = np.einsum("abd,dc->abc", lowered, ginv)
     return ConnectionCoefficients(kind=kind, n=n, gamma=gamma, g=g)
-
-
-def torsion_components(conn: ConnectionCoefficients, bracket: BracketTable
-                       ) -> np.ndarray:
-    """Raised torsion ``T[A, B, C]`` with ``T(e_A, e_B) = T[A,B,C] e_C``."""
-    gamma = conn.gamma
-    return gamma - np.einsum("abc->bac", gamma) - bracket.f
-
-
-@dataclass(frozen=True)
-class TorsionData:
-    """Chern torsion: full raised tensor plus its holomorphic blocks."""
-
-    n: int
-    raised: np.ndarray          # (2n, 2n, 2n)
-    hol: np.ndarray             # T^k_{ij}: [i, j, k], all holomorphic
-    lowered_hol: np.ndarray     # T_{i j k~}: [i, j, k]
-
-
-def chern_torsion(conn: ConnectionCoefficients, bracket: BracketTable) -> TorsionData:
-    if conn.kind is not ConnectionKind.CHERN:
-        raise ValueError("chern_torsion expects a Chern connection")
-    n = conn.n
-    raised = torsion_components(conn, bracket)
-    hol = raised[:n, :n, :n]
-    G = conn.g[:n, n:]
-    lowered_hol = np.einsum("ijm,mk->ijk", hol, G)
-    return TorsionData(n=n, raised=raised, hol=hol, lowered_hol=lowered_hol)
 
 
 # ---------------------------------------------------------------------------
@@ -519,63 +486,134 @@ def metric_inverse_block(G: np.ndarray) -> np.ndarray:
 
 
 def second_ricci_trace(Ginv: np.ndarray, mixed_direct: np.ndarray) -> np.ndarray:
-    """``S[i, j] = g^{k l~} Omega[k, l~, i, j~]`` traced over the curvature plane."""
-    return np.einsum("lk,klij->ij", Ginv, mixed_direct)
+    """``S[i, j] = g^{k l~} Omega[k, l~, i, j~]`` traced over the curvature
+    plane, for (..., n, n) stacks of ``Ginv`` and (..., n, n, n, n) blocks."""
+    n = Ginv.shape[-1]
+    w = Ginv.swapaxes(-1, -2).reshape(Ginv.shape[:-2] + (1, n * n))
+    S = w @ mixed_direct.reshape(mixed_direct.shape[:-4] + (n * n, n * n))
+    return S.reshape(S.shape[:-2] + (n, n))
 
 
 def q_terms(Ginv: np.ndarray, t_low: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four torsion quadratics from the lowered Chern torsion
-    ``t_low[i, j, k] = T_{i j k~}`` and the inverse metric."""
+    """The four torsion quadratics from stacks of the lowered Chern torsion
+    ``t[..., i, j, k] = T_{i j k~}`` and the inverse metric.  With ``P[k, l]
+    = g^{k l~} = Ginv[l, k]``: ``Q1[i, j] = t[i, k, m] (P conj(t[j]) P)[k,
+    m]``, ``Q2[i, j] = (P (x) P conj(t))[k, m, i] t[k, m, j]``, ``Q3`` is the
+    outer product of ``tau = t[:, k, l] P[k, l]`` and ``sig = conj(t)[:, k,
+    l] Ginv[k, l]``, ``Q4`` averages ``(Ginv tau)[m] conj(t)[m, j, i]`` and
+    ``(sig Ginv)[m] t[m, i, j]``."""
+    n, lead, g_lead = Ginv.shape[-1], t_low.shape[:-3], Ginv.shape[:-2]
+    P = Ginv.swapaxes(-1, -2)
     tc = np.conj(t_low)
-    q1 = np.einsum("lk,nm,ikn,jlm->ij", Ginv, Ginv, t_low, tc)
-    q2 = np.einsum("lk,nm,kmj,lni->ij", Ginv, Ginv, t_low, tc)
-    q3 = np.einsum("lk,nm,ikl,jnm->ij", Ginv, Ginv, t_low, tc)
-    q4 = 0.5 * (np.einsum("lk,nm,mkl,nji->ij", Ginv, Ginv, t_low, tc)
-                + np.einsum("lk,nm,mij,nlk->ij", Ginv, Ginv, t_low, tc))
-    return q1, q2, q3, q4
+    rows, rows_c = t_low.reshape(lead + (n, n * n)), tc.reshape(lead + (n, n * n))
+    sandwich = P[..., None, :, :] @ tc @ P[..., None, :, :]
+    q1 = rows @ sandwich.reshape(lead + (n, n * n)).swapaxes(-1, -2)
+    raised = (P[..., None, :, :] @ (P @ rows_c).reshape(lead + (n, n, n)))
+    q2 = raised.reshape(lead + (n * n, n)).swapaxes(-1, -2) @ t_low.reshape(lead + (n * n, n))
+    tau = rows @ P.reshape(g_lead + (n * n, 1))
+    sig = (rows_c @ Ginv.reshape(g_lead + (n * n, 1))).swapaxes(-1, -2)
+    first = ((Ginv @ tau).swapaxes(-1, -2) @ rows_c).reshape(lead + (n, n))
+    second = (sig @ Ginv @ rows).reshape(lead + (n, n))
+    return q1, q2, tau @ sig, 0.5 * (first.swapaxes(-1, -2) + second)
+
+
+#: ``x @ _FRAME_METRIC_MAP`` is the frame metric ``g[A, B]``, flattened, at the
+#: coordinates ``x``: row ``c`` holds the metric of the ``c``-th unit vector
+_FRAME_METRIC_MAP = np.array([
+    np.kron([[0, 1], [0, 0]], G) + np.kron([[0, 0], [1, 0]], G.T)
+    for G in (MetricCoefficients.from_array(e).hermitian_matrix() for e in np.eye(9))
+]).reshape(9, 36)
+
+
+def _tangent_rows(f: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Unsymmetrized ``-S + a Q1 + b Q2 + c Q3 + d Q4`` at each admissible row
+    of the (R, 9) coordinate stack ``x``, with the (R, 4) rows ``coeffs``.
+
+    The Chern connection keeps the (1,0)-frame parallel, so only its
+    Christoffels ``gam[A, i, j]`` with holomorphic ``i, j`` enter.  They are
+    the lowered ``low[A, i, k~]`` raised by ``Ginv``, the nonzero block of
+    ``inv(g)`` there, and ``gam[A] @ G`` is ``low[A]`` again.
+    """
+    R, n = len(x), 3
+    N, nn = 2 * n, n * n
+    g = (x @ _FRAME_METRIC_MAP).reshape(R, N, N)
+    G = g[:, :n, n:]
+    # the Chern correction -jd[A]/2 domega[A, B, C] of connection()
+    chern = _koszul_lowered(f, g) - 0.5 * _j_diagonal(n)[:, None, None] * d_omega(f, g, n)
+    low = np.ascontiguousarray(chern[:, :, :n, n:])
+    Ginv = np.linalg.inv(G)
+    gam = (low.reshape(R, N * n, n) @ Ginv).reshape(R, N, n, n)
+    gam_h, low_h = gam[:, :n], low[:, :n]
+    # Omega[a, b~, c, d~] = (gam[b~] low[a] - gam[a] low[b~]
+    #                        - f[a, b~, e] low[e])[c, d]
+    t1 = ((gam[:, n:].reshape(R, nn, n) @ low_h.swapaxes(1, 2).reshape(R, n, nn))
+          .reshape(R, n, n, n, n).transpose(0, 3, 1, 2, 4))
+    t2 = ((gam_h.reshape(R, nn, n) @ low[:, n:].swapaxes(1, 2).reshape(R, n, nn))
+          .reshape(R, n, n, n, n).transpose(0, 1, 3, 2, 4))
+    t3 = (f[:n, n:].reshape(nn, N) @ low.reshape(R, N, nn)).reshape(R, n, n, n, n)
+    S = second_ricci_trace(Ginv, t1 - t2 - t3)
+    # lowered (2,0) torsion T_{i j k~} = (gam[i, j, m] - gam[j, i, m] - f[i, j, m]) G[m, k]
+    torsion = gam_h - gam_h.swapaxes(1, 2) - f[:n, :n, :n]
+    t_low = (torsion.reshape(R, nn, n) @ G).reshape(R, n, n, n)
+    q = np.stack(q_terms(Ginv, t_low), axis=1).reshape(R, 4, nn)
+    return (coeffs[:, None, :] @ q).reshape(R, n, n) - S
 
 
 def hcf_tangent(eqs: ComplexStructureEquations,
-                m: MetricCoefficients,
+                m: MetricCoefficients | np.ndarray,
                 fc,
-                bracket: BracketTable | None = None) -> np.ndarray:
+                bracket: BracketTable | None = None):
     """Hermitian matrix ``K[i, j] = (-S + a Q1 + b Q2 + c Q3 + d Q4)_{i j~}``.
 
     ``S`` is the inverse-metric trace of the Chern curvature over its
     curvature plane, taken in the direct sign convention
     ``g(R(e_A, e_B) e_C, e_D)`` so that the flow direction agrees with the
     coordinate picture on homogeneous model spaces.
+
+    One metric ``m`` and flow ``fc`` give the (3, 3) matrix; an inadmissible
+    metric or a non-finite ``K`` raises ``MetricError``, a ``K`` that is not
+    Hermitian to ``zero_threshold(max|K|, rtol=1e-8)`` raises
+    ``FlowDegenerationError``.  An (R, 9) stack of ``as_array`` rows with an
+    (R, 4) array of (a, b, c, d) rows gives the (R, 3, 3) stack and the mask
+    of the rows that pass those tests, raising nothing.
     """
-    n = eqs.n
     if bracket is None:
         bracket = dualize(eqs)
-    g = frame_metric(m)
-    conn = connection(ConnectionKind.CHERN, bracket, g)
-    h = slice(0, n)
-    a = slice(n, 2 * n)
-    mixed_direct = _direct_lowered_curvature(conn.gamma, bracket.f, g, h, a, h, a)
-    Ginv = metric_inverse_block(g[h, a])
-    S = second_ricci_trace(Ginv, mixed_direct)
-    tor = chern_torsion(conn, bracket)
-    q1, q2, q3, q4 = q_terms(Ginv, tor.lowered_hol)
-    K = -S + fc.a * q1 + fc.b * q2 + fc.c * q3 + fc.d * q4
-    if not np.isfinite(K).all():
+    single = isinstance(m, MetricCoefficients)
+    if single:
+        m.validate()
+        x, coeffs, ok = m.as_array()[None], np.array([fc.as_tuple()]), np.ones(1, bool)
+    else:
+        x, coeffs = np.asarray(m, dtype=float), np.asarray(fc, dtype=float)
+        ok = np.array([MetricCoefficients.from_array(r).is_admissible()
+                       for r in x.tolist()], dtype=bool)
+    K = np.zeros((len(x), eqs.n, eqs.n), dtype=complex)
+    if ok.any():
+        K[ok] = _tangent_rows(bracket.f, x[ok], coeffs[ok])
+    KH = K.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        size, defect = (np.abs(a).reshape(len(x), -1).max(axis=1) for a in (K, K - KH))
+    # zero_threshold(size, rtol=1e-8) row by row; a NaN row fails both tests
+    ok &= np.isfinite(size) & (defect <= 1e-8 * (1.0 + size))
+    if not single:
+        return 0.5 * (K + KH), ok
+    if not np.isfinite(size[0]):
         raise MetricError("flow tangent overflowed")
-    herm_defect = float(np.max(np.abs(K - K.conj().T)))
-    if herm_defect > zero_threshold(float(np.max(np.abs(K))), rtol=1e-8):
-        raise FlowDegenerationError(f"flow tangent lost Hermitian symmetry ({herm_defect:.2e})")
-    return 0.5 * (K + K.conj().T)
+    if not ok[0]:
+        raise FlowDegenerationError(f"flow tangent lost Hermitian symmetry ({defect[0]:.2e})")
+    return 0.5 * (K[0] + KH[0])
 
 
 def _coefficient_rates(K: np.ndarray) -> np.ndarray:
-    """Map ``d/dt g(Z_i, conj Z_j) = K[i, j]`` to the coefficient chart."""
-    return np.array([
-        2 * K[0, 0].real, 2 * K[1, 1].real, 2 * K[2, 2].real,
-        (2j * K[0, 1]).real, (2j * K[0, 1]).imag,
-        (2j * K[1, 2]).real, (2j * K[1, 2]).imag,
-        (2j * K[0, 2]).real, (2j * K[0, 2]).imag,
-    ])
+    """Map ``d/dt g(Z_i, conj Z_j) = K[i, j]`` to the coefficient chart, for
+    one (3, 3) matrix or a (..., 3, 3) stack: ``2 Re K[i, i]``, then ``2i
+    K[i, j]`` for u, v and z."""
+    rates = np.empty(K.shape[:-2] + (9,))
+    rates[..., :3] = 2 * K[..., [0, 1, 2], [0, 1, 2]].real
+    off = 2j * K[..., [0, 1, 0], [1, 2, 2]]
+    rates[..., 3::2], rates[..., 4::2] = off.real, off.imag
+    return rates
 
 
 # Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6
@@ -618,6 +656,88 @@ class FlowStepStats:
     tangent_evals: int = 0
 
 
+def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
+               coeffs: np.ndarray, x0: np.ndarray, stats: list[FlowStepStats],
+               t_start: float, records: list[float], min_dt: float
+               ) -> list[list[np.ndarray]]:
+    """Advance each row of the (R, 9) stack ``x0`` under its row of ``coeffs``
+    from ``t_start`` through the times ``records``; returns each row's states
+    at the record times it reached.  The rows step in lockstep and share one
+    stacked ``hcf_tangent`` call per stage; step, time, FSAL stages, step
+    decisions and ``stats[r]`` are the row's own.  Each record interval opens
+    with a first-stage evaluation.  A failing stage rejects its row's step,
+    skips its remaining stages and shrinks the step five-fold.  A row whose
+    proposed step falls below ``min_dt`` is degenerate at ``stats[r].t``."""
+    x = np.array(x0, dtype=float)
+    k = np.empty((len(x), 7, x.shape[1]))
+    out: list[list[np.ndarray]] = [[] for _ in x]
+    for st in stats:
+        st.t = t_start
+
+    def rates(rows: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # looked up in the module on every call, where the tracer wraps it
+        K, ok = hcf_tangent(eqs, states, coeffs[rows], bracket=bracket)
+        for r in rows:
+            stats[r].tangent_evals += 1
+        return _coefficient_rates(K), ok
+
+    opening, active = list(range(len(x))), []
+    while opening or active:
+        if opening:
+            rows = np.array(opening)
+            k[rows, 0], ok = rates(rows, x[rows])
+            # a first stage fails only at an unusable start: degenerate there
+            active, opening = sorted(active + rows[ok].tolist()), []
+            if not active:
+                break
+        rows = np.array(active)
+        t_stop = [records[len(out[r])] for r in active]
+        landing = [stats[r].t + stats[r].step >= ts for r, ts in zip(active, t_stop)]
+        h = np.array([ts - stats[r].t if land else stats[r].step
+                      for r, ts, land in zip(active, t_stop, landing)])
+        xs, ks, alive = x[rows], k[rows], np.arange(len(rows))
+        for i in range(1, 7):
+            x_new = xs[alive] + h[alive, None] * (_DP_A[i, :i] @ ks[alive, :i])
+            ks[alive, i], ok = rates(rows[alive], x_new)
+            alive, x_new = alive[ok], x_new[ok]
+            if not alive.size:
+                break
+        err = np.full(len(rows), np.nan)            # NaN: a stage failed
+        scale = FLOW_ATOL + FLOW_RTOL * np.maximum(np.abs(xs[alive]), np.abs(x_new))
+        err[alive] = np.sqrt(np.mean((h[alive, None] * (_DP_E @ ks[alive]) / scale) ** 2,
+                                     axis=1))
+        xs[alive] = x_new
+        still = []
+        for p, r in enumerate(active):
+            st, h_p, e = stats[r], float(h[p]), float(err[p])
+            if math.isnan(e):
+                st.rejected += 1
+                st.step = 0.2 * h_p
+            else:
+                grow = 5.0 if e == 0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+                if e <= 1.0:
+                    # the new state passed the cone test in the seventh stage
+                    st.accepted += 1
+                    st.min_step = min(st.min_step, h_p)
+                    x[r], k[r], k[r, 0] = xs[p], ks[p], ks[p, 6]
+                    # a step shortened to land on t_stop says nothing against h
+                    st.step = max(st.step, h_p * grow) if landing[p] else h_p * grow
+                    st.t = t_stop[p] if landing[p] else st.t + h_p
+                else:
+                    st.rejected += 1
+                    st.step = h_p * grow
+            if st.step < min_dt:
+                continue
+            if st.t < t_stop[p]:
+                still.append(r)
+                continue
+            out[r].append(x[r].copy())
+            if len(out[r]) < len(records):
+                opening.append(r)
+        active = still
+    return out
+
+
 def invariant_flow_step(eqs: ComplexStructureEquations,
                         m: MetricCoefficients,
                         fc,
@@ -627,16 +747,10 @@ def invariant_flow_step(eqs: ComplexStructureEquations,
                         min_dt: float = 1e-6,
                         stats: FlowStepStats | None = None) -> MetricCoefficients:
     """Advance the coefficient flow from ``t_now`` to exactly ``t_now + dt``
-    with error-controlled Dormand-Prince 5(4) steps.
-
-    The first trial step is ``dt``, or ``stats.step`` when ``stats`` carries
-    the controller's proposal from an earlier call.  A stage whose state
-    leaves the admissible cone (``MetricError``) or whose tangent loses
-    Hermitian symmetry (``FlowDegenerationError``) rejects the step and
-    shrinks it five-fold.  As soon as the controller's next step falls below
-    ``min_dt``, after an accepted or a rejected step, the flow is declared
-    degenerate at the time reached.
-    """
+    with error-controlled Dormand-Prince 5(4) steps: ``_flow_rows`` on one
+    row.  The first trial step is ``dt``, or ``stats.step`` when ``stats``
+    carries the controller's proposal from an earlier call.  A degenerate
+    flow raises ``FlowDegenerationError`` at the time reached."""
     check_finite(dt=dt, t_now=t_now)
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -644,50 +758,12 @@ def invariant_flow_step(eqs: ComplexStructureEquations,
         bracket = dualize(eqs)
     if stats is None:
         stats = FlowStepStats(step=dt)
-    stats.t = t = t_now
-    t_stop = t_now + dt
-    h = stats.step
-
-    def rate(x: np.ndarray) -> np.ndarray:
-        # an inadmissible state raises MetricError from frame_metric
-        stats.tangent_evals += 1
-        mm = MetricCoefficients.from_array(x)
-        return _coefficient_rates(hcf_tangent(eqs, mm, fc, bracket=bracket))
-
-    x = m.as_array()
-    k = np.empty((7, x.size))
-    k[0] = rate(x)
-    while t < t_stop:
-        landing = t + h >= t_stop
-        h_try = t_stop - t if landing else h
-        try:
-            for i in range(1, 7):
-                x_new = x + h_try * (_DP_A[i, :i] @ k[:i])
-                k[i] = rate(x_new)
-        except (MetricError, FlowDegenerationError):
-            stats.rejected += 1
-            h = 0.2 * h_try
-        else:
-            scale = FLOW_ATOL + FLOW_RTOL * np.maximum(np.abs(x), np.abs(x_new))
-            err = float(np.sqrt(np.mean((h_try * (_DP_E @ k) / scale) ** 2)))
-            grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            if err <= 1.0:
-                # x_new passed validate() in the seventh stage's frame_metric
-                stats.accepted += 1
-                stats.min_step = min(stats.min_step, h_try)
-                x = x_new
-                k[0] = k[6]
-                # a step shortened to land on t_stop says nothing against h
-                h = max(h, h_try * grow) if landing else h_try * grow
-                t = t_stop if landing else t + h_try
-                stats.t = t
-            else:
-                stats.rejected += 1
-                h = h_try * grow
-        if h < min_dt:
-            raise FlowDegenerationError(f"flow left admissible cone at t={t:.6g}")
-    stats.step = h
-    return MetricCoefficients.from_array(x)
+    m.validate()
+    states = _flow_rows(eqs, bracket, np.array([fc.as_tuple()]), m.as_array()[None],
+                        [stats], t_now, [t_now + dt], min_dt)[0]
+    if not states:
+        raise FlowDegenerationError(f"flow left admissible cone at t={stats.t:.6g}")
+    return MetricCoefficients.from_array(states[0])
 
 
 @dataclass(frozen=True)
@@ -703,6 +779,46 @@ class InvariantFlowResult:
     tangent_evals: int
 
 
+def integrate_invariant_flows(eqs: ComplexStructureEquations,
+                              m0: MetricCoefficients,
+                              fcs,
+                              t_end: float,
+                              dt: float = 1e-3,
+                              bracket: BracketTable | None = None,
+                              checkpoints: int = 1) -> list[InvariantFlowResult]:
+    """Integrate the coefficient flow of each tuple in ``fcs`` from ``m0`` to
+    ``t_end``, recording the state at the times ``t_end * k / checkpoints``,
+    k = 0, .., checkpoints; one result per flow.  The flows advance as one
+    stack (``_flow_rows``), each row exactly as its flow alone; ``dt`` is
+    the first trial step.  A degenerate flow keeps its records before the
+    exit."""
+    check_finite(t_end=t_end, dt=dt)
+    for fc in fcs:
+        check_finite(**dict(zip("abcd", fc.as_tuple())))
+    if t_end <= 0 or dt <= 0:
+        raise ValueError("t_end and dt must be positive")
+    if checkpoints < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
+    if bracket is None:
+        bracket = dualize(eqs)
+    m0.validate()
+    stats = [FlowStepStats(step=dt) for _ in fcs]
+    records = [t_end * j / checkpoints for j in range(1, checkpoints + 1)]
+    coeffs = np.array([fc.as_tuple() for fc in fcs], dtype=float).reshape(-1, 4)
+    runs = _flow_rows(eqs, bracket, coeffs, np.tile(m0.as_array(), (len(stats), 1)),
+                      stats, 0.0, records, min_dt=1e-6)
+    return [InvariantFlowResult(
+        times=np.array([0.0] + records[:len(states)]),
+        metrics=[m0] + [MetricCoefficients.from_array(s) for s in states],
+        degenerated=len(states) < checkpoints,
+        exit_time=st.t if len(states) < checkpoints else None,
+        termination=(Termination.LEFT_ADMISSIBLE_CONE if len(states) < checkpoints
+                     else Termination.REACHED_T_END),
+        accepted=st.accepted, rejected=st.rejected,
+        min_step=st.min_step, tangent_evals=st.tangent_evals)
+        for states, st in zip(runs, stats)]
+
+
 def integrate_invariant_flow(eqs: ComplexStructureEquations,
                              m0: MetricCoefficients,
                              fc,
@@ -710,120 +826,6 @@ def integrate_invariant_flow(eqs: ComplexStructureEquations,
                              dt: float = 1e-3,
                              bracket: BracketTable | None = None,
                              checkpoints: int = 1) -> InvariantFlowResult:
-    """Integrate the coefficient flow to ``t_end``, recording the state at
-    the times ``t_end * k / checkpoints``, k = 0, .., checkpoints.
-
-    Each record interval is one ``invariant_flow_step`` call; ``dt`` is the
-    first trial step.  A degenerate flow keeps the records before its exit.
-    """
-    check_finite(t_end=t_end, dt=dt, **dict(zip("abcd", fc.as_tuple())))
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    if checkpoints < 1:
-        raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
-    if bracket is None:
-        bracket = dualize(eqs)
-    stats = FlowStepStats(step=dt)
-    times = [0.0]
-    metrics = [m0]
-    exit_time: float | None = None
-    for j in range(1, checkpoints + 1):
-        t_next = t_end * j / checkpoints
-        try:
-            m = invariant_flow_step(eqs, metrics[-1], fc, t_next - times[-1],
-                                    bracket=bracket, t_now=times[-1], stats=stats)
-        except FlowDegenerationError:
-            exit_time = stats.t
-            break
-        times.append(t_next)
-        metrics.append(m)
-    degenerated = exit_time is not None
-    return InvariantFlowResult(
-        times=np.array(times), metrics=metrics, degenerated=degenerated,
-        exit_time=exit_time,
-        termination=(Termination.LEFT_ADMISSIBLE_CONE if degenerated
-                     else Termination.REACHED_T_END),
-        accepted=stats.accepted, rejected=stats.rejected,
-        min_step=stats.min_step, tangent_evals=stats.tangent_evals)
-
-
-# ---------------------------------------------------------------------------
-# invariant exterior calculus (used for the pluriclosed predicate)
-# ---------------------------------------------------------------------------
-
-def invariant_d(form: np.ndarray, bracket: BracketTable) -> np.ndarray:
-    """Exterior derivative of an invariant k-form given as an antisymmetric
-    array over the frame: ``d eta(X_0..X_k) = sum_{i<j} (-1)^{i+j}
-    eta([X_i, X_j], X_0.. omit i, j ..X_k)``.
-    """
-    k = form.ndim
-    dim = form.shape[0]
-    f = bracket.f
-    out = np.zeros((dim,) * (k + 1), dtype=complex)
-    for idx in np.ndindex(*out.shape):
-        total = 0.0 + 0.0j
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = tuple(idx[m] for m in range(k + 1) if m != i and m != j)
-                bracket_vec = f[idx[i], idx[j], :]
-                total += ((-1) ** (i + j)) * np.dot(bracket_vec,
-                                                    form[(slice(None),) + rest])
-        out[idx] = total
-    return out
-
-
-def _type_projection(form: np.ndarray, n: int, anti_count: int) -> np.ndarray:
-    """Zero every component whose number of antiholomorphic slots differs
-    from ``anti_count``."""
-    k = form.ndim
-    out = np.zeros_like(form)
-    for idx in np.ndindex(*form.shape):
-        if sum(1 for x in idx if x >= n) == anti_count:
-            out[idx] = form[idx]
-    return out
-
-
-def bismut_chern_comparison_defect(eqs: ComplexStructureEquations,
-                                   m: MetricCoefficients,
-                                   bracket: BracketTable | None = None) -> float:
-    """Residual of the pluriclosed comparison identity
-
-        B[i, j~, k, l~] = Ch[k, l~, i, j~] - g^{p q~} T_{i p l~} conj(T_{j q k~})
-
-    between the direct-convention Bismut and Chern curvatures.  Vanishes (to
-    round-off) exactly on pluriclosed metrics; the returned defect is the max
-    component of the difference.
-    """
-    n = eqs.n
-    if bracket is None:
-        bracket = dualize(eqs)
-    g = frame_metric(m)
-    cb = connection(ConnectionKind.BISMUT, bracket, g)
-    cc = connection(ConnectionKind.CHERN, bracket, g)
-    h = slice(0, n)
-    a = slice(n, 2 * n)
-    db = _direct_lowered_curvature(cb.gamma, bracket.f, g, h, a, h, a)
-    dc = _direct_lowered_curvature(cc.gamma, bracket.f, g, h, a, h, a)
-    tor = chern_torsion(cc, bracket)
-    Ginv = metric_inverse_block(m.hermitian_matrix())
-    tt = np.einsum("qp,ipl,jqk->ijkl", Ginv, tor.lowered_hol,
-                   np.conj(tor.lowered_hol))
-    return float(np.max(np.abs(db - (np.einsum("klij->ijkl", dc) - tt))))
-
-
-def pluriclosed_residual(eqs: ComplexStructureEquations, m: MetricCoefficients,
-                         bracket: BracketTable | None = None) -> float:
-    """Max component of the (2,2)-part of d of the (1,2)-part of d omega.
-
-    Zero (to tolerance) exactly when the metric is pluriclosed.
-    """
-    n = eqs.n
-    if bracket is None:
-        bracket = dualize(eqs)
-    g = frame_metric(m)
-    jd = _j_diagonal(n)
-    w = jd[:, None] * g
-    dw = invariant_d(w, bracket)
-    dbar_w = _type_projection(dw, n, anti_count=2)
-    ddbar = invariant_d(dbar_w, bracket)
-    return float(np.max(np.abs(_type_projection(ddbar, n, anti_count=2))))
+    """``integrate_invariant_flows`` for the one flow ``fc``."""
+    return integrate_invariant_flows(eqs, m0, [fc], t_end, dt=dt, bracket=bracket,
+                                     checkpoints=checkpoints)[0]

@@ -113,23 +113,3 @@ def fd_curvature(field: PointMetricField,
     gfull[n:, :n] = G.T
     lowered = np.einsum("abkm,md->abkd", raised, gfull)
     return CurvatureTensor(n=n, connection="finite-difference", data=lowered)
-
-
-def fd_chern_christoffels(field: PointMetricField,
-                          z: np.ndarray,
-                          h: float | None = None,
-                          richardson: bool = False) -> np.ndarray:
-    """Chern Christoffels ``gamma[i, j, k] = g^{k s~} d_i g_{j s~}`` from the
-    metric evaluator alone."""
-    n = field.n
-    z = _check_point(n, z)
-    if h is None:
-        scale = RICHARDSON_STEP_SCALE if richardson else DEFAULT_STEP_SCALE
-        h = scale * max(1.0, float(np.linalg.norm(z)))
-    dG = np.stack([
-        wirtinger_derivative(field.metric, z, i, n, h, richardson=richardson)
-        for i in range(n)
-    ])  # dG[i, j, s] = d_i g_{j s~}
-    Ginv = np.linalg.inv(np.asarray(field.metric(z), dtype=complex))
-    # g^{k s~} = Ginv[s, k]
-    return np.einsum("ijs,sk->ijk", dG, Ginv)

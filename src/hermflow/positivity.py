@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,30 +65,32 @@ class SignClassification:
 
 def biquadratic(block: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> float:
     xi, nu = np.asarray(xi), np.asarray(nu)
-    return float(_biquadratic_rows(block, xi[None], nu[None])[0])
+    return float(_biquadratic_rows(np.asarray(block)[None], xi[None], nu[None])[0])
 
 
-def _biquadratic_rows(block: np.ndarray, xi: np.ndarray, nu: np.ndarray
+def _biquadratic_rows(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray
                       ) -> np.ndarray:
-    """The biquadratic at each row of the (S, n) stacks ``xi`` and ``nu``."""
-    val = np.einsum("ijkl,si,sj,sk,sl->s", block, xi, np.conj(xi), nu, np.conj(nu))
+    """The biquadratic of ``blocks[s]`` at row ``s`` of the (S, n) stacks
+    ``xi`` and ``nu``."""
+    val = np.einsum("sijkl,si,sj,sk,sl->s", blocks, xi, np.conj(xi), nu, np.conj(nu))
     if np.any(np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val))):
         raise AssertionError(f"biquadratic value is not real: {val!r}")
     return val.real
 
 
-def _partial_matrix(block: np.ndarray, vecs: np.ndarray, frozen: str) -> np.ndarray:
+def _partial_matrix(blocks: np.ndarray, vecs: np.ndarray, frozen: str) -> np.ndarray:
     """Hermitian matrices left after freezing one argument of the biquadratic
-    at each row of the (S, n) stack ``vecs``; returns an (S, n, n) stack.
+    of ``blocks[s]`` at row ``s`` of the (S, n) stack ``vecs``; returns an
+    (S, n, n) stack.
 
     The free slot pairs as ``sum_ij x_i A[i, j] conj(x_j)``, which is the
     standard Hermitian form of ``A`` transposed; the transpose is applied
     here so callers can feed the result straight to an eigensolver.
     """
     if frozen == "nu":
-        A = np.einsum("ijkl,sk,sl->sij", block, vecs, np.conj(vecs))
+        A = np.einsum("sijkl,sk,sl->sij", blocks, vecs, np.conj(vecs))
     else:
-        A = np.einsum("ijkl,si,sj->skl", block, vecs, np.conj(vecs))
+        A = np.einsum("sijkl,si,sj->skl", blocks, vecs, np.conj(vecs))
     AH = A.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(A - AH), axis=(-2, -1))
     bad = defect > 1e-10 * (1.0 + np.max(np.abs(A), axis=(-2, -1)))
@@ -102,10 +105,12 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _spectral_starts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Four start pairs (xi, nu) read off the extreme eigenvectors of the two
-    Hermitian matrices of the biquadratic: rows 0, 1 from the bottom
-    eigenvectors of ``M`` and ``M^G``, rows 2, 3 from their top ones.
+def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Four start pairs (xi, nu) per block, read off the extreme eigenvectors
+    of the two Hermitian matrices of its biquadratic: rows 0, 1 from the
+    bottom eigenvectors of ``M`` and ``M^G``, rows 2, 3 from their top ones.
+    ``blocks`` is one (n, n, n, n) block, giving (4, n) stacks, or a
+    (T, n, n, n, n) stack of them, giving (T, 4, n) stacks.
 
     ``M[(i,k),(j,l)] = block[i,j,k,l]`` has ``q = w^H M w`` at ``w =
     conj(xi (x) nu)``, and the partial transpose ``M^G[(i,l),(j,k)] =
@@ -114,42 +119,47 @@ def _spectral_starts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vector through its leading singular pair: ``conj(W) ~ xi nu^T`` for
     ``M`` and ``W ~ conj(xi) nu^T`` for ``M^G``.
     """
-    n = block.shape[0]
-    mats = np.stack([block.transpose(0, 2, 1, 3).reshape(n * n, n * n),
-                     block.transpose(0, 3, 1, 2).reshape(n * n, n * n)])
+    n, lead = blocks.shape[-1], blocks.shape[:-4]
+    blocks = blocks.reshape((-1,) + (n,) * 4)
+    mats = np.stack([blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n),
+                     blocks.transpose(0, 1, 4, 2, 3).reshape(-1, n * n, n * n)], axis=1)
     _, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
     # rows: M bottom, M^G bottom, M top, M^G top
-    W = vecs[[0, 1, 0, 1], :, [0, 0, -1, -1]].reshape(4, n, n)
-    W[0::2] = W[0::2].conj()
+    W = vecs[:, [0, 1, 0, 1], :, [0, 0, -1, -1]].swapaxes(0, 1).reshape(-1, 4, n, n)
+    W[:, 0::2] = W[:, 0::2].conj()
     u, _, vh = np.linalg.svd(W)
-    xi = u[:, :, 0]
-    xi[1::2] = xi[1::2].conj()
-    return xi, vh[:, 0, :]
+    xi = u[..., 0]
+    xi[:, 1::2] = xi[:, 1::2].conj()
+    return xi.reshape(lead + (4, n)), vh[..., 0, :].reshape(lead + (4, n))
 
 
-def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray,
+def _alternate(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray,
                minimize: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Alternating eigen-iteration on every row of the (R, n) start stacks
-    ``xi``, ``nu`` at once; row ``r`` minimizes where ``minimize[r]`` is set
-    and maximizes otherwise.  Each half step is an exact optimum, so every
-    row's objective is monotone.  A row retires once its value is
-    stationary.  Returns per-row (value, xi, nu, stationary)."""
+    ``xi``, ``nu`` at once, row ``r`` on the block ``blocks[r]``; it
+    minimizes where ``minimize[r]`` is set and maximizes otherwise.  Each
+    half step is an exact optimum, so every row's objective is monotone.  A
+    row retires once its value is stationary.  Returns per-row (value, xi,
+    nu, stationary)."""
     pick = np.where(minimize, 0, -1)
-    value = _biquadratic_rows(block, xi, nu)
+    # eigh rounds at the scale of the block, so the monotonicity slack does too
+    size = np.max(np.abs(blocks.reshape(len(blocks), -1)), axis=1)
+    value = _biquadratic_rows(blocks, xi, nu)
     xi, nu = xi.copy(), nu.copy()
     stationary = np.zeros(len(value), dtype=bool)
     active = np.arange(len(value))
     for _ in range(MAX_ALTERNATIONS):
         rows = np.arange(len(active))
         cols = pick[active]
-        _, vecs = np.linalg.eigh(_partial_matrix(block, nu[active], frozen="nu"))
+        mine = blocks[active]
+        _, vecs = np.linalg.eigh(_partial_matrix(mine, nu[active], frozen="nu"))
         new_xi = vecs[rows, :, cols]
-        vals, vecs = np.linalg.eigh(_partial_matrix(block, new_xi, frozen="xi"))
+        vals, vecs = np.linalg.eigh(_partial_matrix(mine, new_xi, frozen="xi"))
         new_nu = vecs[rows, :, cols]
         new_value = vals[rows, cols]
         old = value[active]
-        slack = 1e-12 * (1.0 + np.abs(old))
+        slack = 1e-12 * (1.0 + np.abs(old) + size[active])
         mins = minimize[active]
         if np.any(mins & (new_value > old + slack)):
             raise AssertionError("alternating minimization increased the objective")
@@ -164,10 +174,22 @@ def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray,
     return value, xi, nu, stationary
 
 
-def classify(omega: CurvatureTensor | np.ndarray,
+def _mixed_block(omega: CurvatureTensor | np.ndarray) -> np.ndarray:
+    if isinstance(omega, CurvatureTensor):
+        report = check_cplx(omega)
+        if not report.satisfied:
+            raise CplxViolationError(report)
+        return omega.mixed_block()
+    block = np.asarray(omega, dtype=complex)
+    if block.ndim != 4 or len(set(block.shape)) != 1:
+        raise ValueError("mixed block must be an (n, n, n, n) array")
+    return block
+
+
+def classify(omega: CurvatureTensor | np.ndarray | Sequence,
              starts: int = DEFAULT_STARTS,
-             seed: int = 0,
-             rtol: float = VERDICT_RTOL) -> SignClassification:
+             seed: int | Sequence[int] = 0,
+             rtol: float = VERDICT_RTOL):
     """Classify the sign of the bisectional biquadratic of a curvature tensor.
 
     ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
@@ -175,67 +197,78 @@ def classify(omega: CurvatureTensor | np.ndarray,
     raw mixed block of shape (n, n, n, n).  The minimum and the maximum are
     searched from the same ``starts`` random start pairs, and from two
     spectral start pairs each (``_spectral_starts``), all in one batch.
+
+    A list or tuple of tensors of one n, with a sequence of as many seeds,
+    gives the list of their classifications, each equal to classifying the
+    tensor alone with its seed; the starts of all of them form one batch.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if isinstance(omega, CurvatureTensor):
-        report = check_cplx(omega)
-        if not report.satisfied:
-            raise CplxViolationError(report)
-        block = omega.mixed_block()
-    else:
-        block = np.asarray(omega, dtype=complex)
-        if block.ndim != 4 or len(set(block.shape)) != 1:
-            raise ValueError("mixed block must be an (n, n, n, n) array")
-    n = block.shape[0]
-    magnitude = float(np.max(np.abs(block)))
-    tol = rtol * magnitude
-    rng = np.random.default_rng(seed)
-
-    if magnitude <= 0.0 or magnitude <= rtol:
-        zero = np.zeros(n, dtype=complex)
-        return SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero),
-                                  (zero, zero), tol, magnitude, True)
-
-    pairs = [(_random_unit(rng, n), _random_unit(rng, n)) for _ in range(starts)]
-    xi0, nu0 = (np.array(v) for v in zip(*pairs))
-    xi_s, nu_s = _spectral_starts(block)
-    # rows [0, S) minimize and [S, 2S) maximize from the random starts; the
-    # four spectral rows follow, two minimizing, then two maximizing
-    minimize = np.concatenate([np.arange(2 * starts) < starts,
-                               [True, True, False, False]])
+    if not isinstance(omega, (list, tuple)):
+        return classify([omega], starts, [seed], rtol)[0]
+    blocks = [_mixed_block(o) for o in omega]
+    if len(seed) != len(blocks):
+        raise ValueError(f"{len(blocks)} tensors need as many seeds, got {len(seed)}")
+    if len({b.shape[0] for b in blocks}) > 1:
+        raise ValueError("a batch must hold tensors of one dimension n")
+    # per tensor, rows [0, S) minimize and [S, 2S) maximize from the random
+    # starts; the four spectral rows follow, two minimizing, then two maximizing
+    minimize = np.concatenate([np.arange(2 * starts) < starts, [True, True, False, False]])
+    results: list[SignClassification | None] = []
+    live = []                   # (index, block, magnitude, xi0, nu0) per non-flat tensor
+    for block, q_seed in zip(blocks, seed):
+        n = block.shape[0]
+        magnitude = float(np.max(np.abs(block)))
+        if magnitude <= 0.0 or magnitude <= rtol:
+            zero = np.zeros(n, dtype=complex)
+            results.append(SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero),
+                                              (zero, zero), rtol * magnitude,
+                                              magnitude, True))
+            continue
+        rng = np.random.default_rng(q_seed)
+        pairs = [(_random_unit(rng, n), _random_unit(rng, n)) for _ in range(starts)]
+        live.append((len(results), block, magnitude, *(np.array(v) for v in zip(*pairs))))
+        results.append(None)
+    if not live:
+        return results
+    stack = np.stack([block for _, block, *_ in live])
+    xi_s, nu_s = _spectral_starts(stack)
     values, xis, nus, ok = _alternate(
-        block, np.concatenate([xi0, xi0, xi_s]), np.concatenate([nu0, nu0, nu_s]),
-        minimize=minimize)
-    # first best wins, as argmin/argmax return the first extreme, so a tie
-    # goes to a random start
+        np.repeat(stack, len(minimize), axis=0),
+        np.concatenate([np.concatenate([xi, xi, s]) for (*_, xi, _), s in zip(live, xi_s)]),
+        np.concatenate([np.concatenate([nu, nu, s]) for (*_, nu), s in zip(live, nu_s)]),
+        minimize=np.tile(minimize, len(live)))
     min_rows = np.flatnonzero(minimize)
     max_rows = np.flatnonzero(~minimize)
-    i_min = int(min_rows[np.argmin(values[min_rows])])
-    i_max = int(max_rows[np.argmax(values[max_rows])])
-    best_min, min_wit = float(values[i_min]), (xis[i_min], nus[i_min])
-    best_max, max_wit = float(values[i_max]), (xis[i_max], nus[i_max])
-    stationary = bool(np.all(ok))
-
-    # certify the extremes at the returned witnesses
-    for val, wit in ((best_min, min_wit), (best_max, max_wit)):
-        recheck = biquadratic(block, *wit)
-        if abs(recheck - val) > 1e-10 * (1.0 + abs(val)):
-            raise AssertionError("witness does not reproduce its extreme value")
-
-    if best_min < -tol and best_max > tol:
-        verdict = Verdict.INDEFINITE
-    elif not stationary:
-        verdict = Verdict.INDETERMINATE
-    elif best_min >= -tol and best_max > tol:
-        verdict = Verdict.NON_NEGATIVE
-    elif best_max <= tol and best_min < -tol:
-        verdict = Verdict.NON_POSITIVE
-    else:
-        # nonzero tensor whose bisectional diagonal vanishes identically
-        verdict = Verdict.INDETERMINATE
-    return SignClassification(verdict, best_min, best_max,
-                              min_wit, max_wit, tol, magnitude, stationary)
+    for w, (q, block, magnitude, _, _) in enumerate(live):
+        own = slice(w * len(minimize), (w + 1) * len(minimize))
+        vals, xi, nu, tol = values[own], xis[own], nus[own], rtol * magnitude
+        # first best wins, as argmin/argmax return the first extreme, so a
+        # tie goes to a random start
+        i_min = int(min_rows[np.argmin(vals[min_rows])])
+        i_max = int(max_rows[np.argmax(vals[max_rows])])
+        best_min, min_wit = float(vals[i_min]), (xi[i_min], nu[i_min])
+        best_max, max_wit = float(vals[i_max]), (xi[i_max], nu[i_max])
+        stationary = bool(np.all(ok[own]))
+        # certify the extremes at the returned witnesses
+        for val, wit in ((best_min, min_wit), (best_max, max_wit)):
+            recheck = biquadratic(block, *wit)
+            if abs(recheck - val) > 1e-10 * (1.0 + abs(val)):
+                raise AssertionError("witness does not reproduce its extreme value")
+        if best_min < -tol and best_max > tol:
+            verdict = Verdict.INDEFINITE
+        elif not stationary:
+            verdict = Verdict.INDETERMINATE
+        elif best_min >= -tol and best_max > tol:
+            verdict = Verdict.NON_NEGATIVE
+        elif best_max <= tol and best_min < -tol:
+            verdict = Verdict.NON_POSITIVE
+        else:
+            # nonzero tensor whose bisectional diagonal vanishes identically
+            verdict = Verdict.INDETERMINATE
+        results[q] = SignClassification(verdict, best_min, best_max, min_wit, max_wit,
+                                        tol, magnitude, stationary)
+    return results
 
 
 def gamma_threshold(n: int) -> float:

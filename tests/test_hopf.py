@@ -10,6 +10,7 @@ from hermflow.flows import FlowCoefficients, named_flow, ode_rhs
 from hermflow.invariant import check_cplx, q_terms, second_ricci_trace
 from hermflow.positivity import classify
 from tests.conftest import random_point
+from tests.reference import chern_curvature_lowered, inverse_metric_at
 
 
 def random_hopf(rng, n=None):
@@ -34,7 +35,7 @@ def test_metric_inverse_identity(rng):
         h = random_hopf(rng)
         z = random_point(rng, h.n)
         G = hopf.metric_at(h, z)
-        Ginv = hopf.inverse_metric_at(h, z)
+        Ginv = inverse_metric_at(h, z)
         assert np.max(np.abs(G @ Ginv - np.eye(h.n))) < 1e-12
 
 
@@ -212,7 +213,7 @@ def test_trace2_equals_inverse_metric_trace_of_curvature(rng):
         h = random_hopf(rng)
         z = random_point(rng, h.n)
         data = hopf.chern_data_at(h, z)
-        lowered = hopf.chern_curvature_lowered(h, z)
+        lowered = chern_curvature_lowered(h, z)
         Ginv = np.linalg.inv(hopf.metric_at(h, z))
         S = second_ricci_trace(Ginv, lowered)
         assert np.max(np.abs(S - data.trace2)) < 1e-10

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hermflow import hopf
-from hermflow.oracle import (PointMetricField, fd_chern_christoffels,
-                             fd_curvature, wirtinger_derivative)
+from hermflow.oracle import (PointMetricField, fd_curvature,
+                             wirtinger_derivative)
 from tests.conftest import random_point
+from tests.reference import fd_chern_christoffels
 
 
 def euclidean_field(n):

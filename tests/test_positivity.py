@@ -69,8 +69,9 @@ def test_partial_matrices_are_hermitian_forms(rng):
     block = hopf.bismut_mixed_block(h, random_point(rng, 3))
     nus = np.array([_random_unit(rng, 3) for _ in range(10)])
     xis = np.array([_random_unit(rng, 3) for _ in range(10)])
-    A = _partial_matrix(block, nus, frozen="nu")
-    B = _partial_matrix(block, xis, frozen="xi")
+    rows = np.broadcast_to(block, (10,) + block.shape)
+    A = _partial_matrix(rows, nus, frozen="nu")
+    B = _partial_matrix(rows, xis, frozen="xi")
     assert A.shape == B.shape == (10, 3, 3)
     for M in (A, B):
         assert np.max(np.abs(M - M.conj().swapaxes(-1, -2))) < 1e-10
@@ -88,8 +89,8 @@ def test_alternating_iteration_monotone_and_certified(rng):
     block = omega.mixed_block()
     pairs = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(10)]
     xi0, nu0 = (np.array(v) for v in zip(*pairs))
-    vals, xis, nus, ok = _alternate(block, xi0, nu0,
-                                    minimize=np.ones(10, dtype=bool))
+    vals, xis, nus, ok = _alternate(np.broadcast_to(block, (10,) + block.shape),
+                                    xi0, nu0, minimize=np.ones(10, dtype=bool))
     assert vals.shape == ok.shape == (10,)
     for val, xi, nu, stationary, a, b in zip(vals, xis, nus, ok, xi0, nu0):
         assert stationary

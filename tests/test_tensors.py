@@ -5,6 +5,7 @@ from hermflow import hopf
 from hermflow.invariant import MetricCoefficients, metric_inverse_block
 from hermflow.tensors import (CurvatureTensor, FrameIndex, TensorError, bar,
                               curvature_from_mixed_block, hol, zero_threshold)
+from tests.reference import chern_curvature_lowered
 
 
 def test_metric_times_inverse_is_identity(rng):
@@ -19,7 +20,7 @@ def test_contract_through_metric_inverse_gives_chern_trace():
     # second Ricci tensor: diagonal entries (n-1)/|z|^2 at the round metric
     h = hopf.HopfMetric(3, 1.0, 0.0)
     z = np.array([0.0, 0.0, 1.0], dtype=complex)
-    lowered = hopf.chern_curvature_lowered(h, z)
+    lowered = chern_curvature_lowered(h, z)
     ginv = np.linalg.inv(hopf.metric_at(h, z))
     # g^{k l~} pairs the holomorphic axis through Ginv[l, k]
     s = np.einsum("klij,lk->ij", lowered, ginv)
