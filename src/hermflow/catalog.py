@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,12 @@ from .positivity import classify
 from .tensors import CurvatureTensor
 
 MIN_SAMPLES = 50
+#: metrics per stacked Bismut curvature in the pure-type scans.  The stack's
+#: temporaries grow with it (about 0.1 MB per metric), while the per-call
+#: overhead it saves levels off: on 200 Nii/main metrics a scan takes 88 ms
+#: one metric at a time, 61 ms in chunks of 16 and 59-62 ms in chunks of
+#: 32 to 200.
+SCAN_CHUNK = 16
 OFF_SLICE_FLOOR = 0.05
 WITNESS_RTOL = 1e-8
 
@@ -370,13 +377,26 @@ def _sample_off_slice(rng: np.random.Generator, slice_spec: dict
     return sample_admissible_metric(rng, fixed=fixed)
 
 
-def bismut_curvature(eqs: ComplexStructureEquations, m: MetricCoefficients,
-                     bracket: BracketTable | None = None) -> CurvatureTensor:
-    """Convenience: Bismut curvature of an invariant structure."""
+def bismut_curvature(eqs: ComplexStructureEquations,
+                     m: MetricCoefficients | list[MetricCoefficients],
+                     bracket: BracketTable | None = None
+                     ) -> CurvatureTensor | list[CurvatureTensor]:
+    """Convenience: Bismut curvature of an invariant structure.  A list of
+    metrics gives the list of their curvatures, computed as one stack."""
     if bracket is None:
         bracket = dualize(eqs)
-    conn = connection(ConnectionKind.BISMUT, bracket, frame_metric(m))
-    return curvature(conn, bracket)
+    single = isinstance(m, MetricCoefficients)
+    g = np.stack([frame_metric(x) for x in ([m] if single else m)])
+    omegas = curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
+    return omegas[0] if single else omegas
+
+
+def _chunked_curvatures(eqs: ComplexStructureEquations, bracket: BracketTable,
+                        metrics: list[MetricCoefficients]):
+    """The Bismut curvatures of ``metrics`` in order, one list per stack of
+    ``SCAN_CHUNK`` metrics."""
+    for start in range(0, len(metrics), SCAN_CHUNK):
+        yield bismut_curvature(eqs, metrics[start:start + SCAN_CHUNK], bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +569,27 @@ def classify_case(case: ClassificationCase,
                   rng: np.random.Generator,
                   sign_samples: int = 8,
                   starts: int = 64) -> ClassificationRow:
-    """Recompute one classification row from scratch."""
+    """Recompute one classification row from scratch.
+
+    Each phase draws all of its metrics first, in the order of the rng, and
+    then scans them in stacks of ``SCAN_CHUNK``; the sign samples are
+    classified in one batch.
+    """
     eqs = instantiate(case.family, **case.params)
     bracket = dualize(eqs)
     detail: dict = {}
 
-    def cplx_ok(m: MetricCoefficients) -> tuple[bool, CurvatureTensor]:
-        omega = bismut_curvature(eqs, m, bracket)
-        return check_cplx(omega).satisfied, omega
+    def scan(metrics: list[MetricCoefficients]):
+        """(pure-type vanishing holds, curvature) per metric."""
+        for omegas in _chunked_curvatures(eqs, bracket, metrics):
+            for omega, report in zip(omegas, check_cplx(omegas)):
+                yield report.satisfied, omega
 
     witnesses: list[WitnessResult] = []
 
     # (a) random full metrics
-    random_pass = 0
-    for _ in range(samples):
-        m = sample_admissible_metric(rng)
-        ok, _ = cplx_ok(m)
-        random_pass += int(ok)
+    random_pass = sum(ok for ok, _ in scan([sample_admissible_metric(rng)
+                                            for _ in range(samples)]))
     detail["random_pass"] = random_pass
     detail["random_total"] = samples
 
@@ -573,16 +597,10 @@ def classify_case(case: ClassificationCase,
     if case.cplx == "always":
         observed = "always" if random_pass == samples else "violated"
     elif case.cplx == "slice":
-        slice_pass = 0
-        for _ in range(n_aux):
-            m = _sample_slice(rng, case.cplx_slice)
-            ok, _ = cplx_ok(m)
-            slice_pass += int(ok)
-        off_fail = 0
-        for _ in range(n_aux):
-            m = _sample_off_slice(rng, case.cplx_slice)
-            ok, _ = cplx_ok(m)
-            off_fail += int(not ok)
+        slice_pass = sum(ok for ok, _ in scan([_sample_slice(rng, case.cplx_slice)
+                                               for _ in range(n_aux)]))
+        off_fail = sum(not ok for ok, _ in scan([_sample_off_slice(rng, case.cplx_slice)
+                                                 for _ in range(n_aux)]))
         detail["slice_pass"] = slice_pass
         detail["slice_total"] = n_aux
         detail["off_slice_fail"] = off_fail
@@ -592,25 +610,24 @@ def classify_case(case: ClassificationCase,
             observed = "inconsistent"
     else:  # never
         slice_fail = True
-        for slice_spec in case.never_slices:
-            for _ in range(n_aux):
-                m = _sample_slice(rng, slice_spec)
-                ok, omega = cplx_ok(m)
-                if ok:
-                    slice_fail = False
-                witnesses.extend(_never_witness(case, m, omega))
+        metrics = [_sample_slice(rng, slice_spec)
+                   for slice_spec in case.never_slices for _ in range(n_aux)]
+        for m, (ok, omega) in zip(metrics, scan(metrics)):
+            if ok:
+                slice_fail = False
+            witnesses.extend(_never_witness(case, m, omega))
         observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
 
     # (c) sign classification on the slice
     verdict: str | None = None
     if case.expected_verdict is not None:
-        verdicts = set()
+        metrics, seeds = [], []
         for _ in range(sign_samples):
-            m = _sample_slice(rng, case.sign_slice)
-            omega = bismut_curvature(eqs, m, bracket)
-            result = classify(omega, starts=starts,
-                              seed=int(rng.integers(0, 2 ** 31)))
-            verdicts.add(result.verdict.value)
+            metrics.append(_sample_slice(rng, case.sign_slice))
+            seeds.append(int(rng.integers(0, 2 ** 31)))
+        omegas = list(chain.from_iterable(_chunked_curvatures(eqs, bracket, metrics)))
+        verdicts = {r.verdict.value for r in classify(omegas, starts=starts, seed=seeds)}
+        for m, omega in zip(metrics, omegas):
             witnesses.extend(_witnesses(case, m, omega))
         verdict = verdicts.pop() if len(verdicts) == 1 else "mixed:" + ",".join(sorted(verdicts))
 
@@ -776,12 +793,14 @@ def flow_preservation_check(case_key: str,
                                         bracket=bracket, checkpoints=checkpoints)
     # the checkpoint seeds are drawn flow by flow, record by record, and all
     # checkpoints of the case are classified in one batch
+    metrics = [m for result in results for m in result.metrics]
+    omegas = chain.from_iterable(_chunked_curvatures(eqs, bracket, metrics))
     tensors, seeds, owners = [], [], []
     for label, result in zip(labels, results):
         for m in result.metrics:
             for name in zero_names:
                 slice_drift = max(slice_drift, abs(getattr(m, name)))
-            omega = bismut_curvature(eqs, m, bracket)
+            omega = next(omegas)
             owners.append(label)
             if flat_drift is not None:
                 flat_drift = max(flat_drift, omega.magnitude)

@@ -28,10 +28,11 @@ regression suite:
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -343,7 +344,8 @@ class ConnectionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """``grad_{e_A} e_B = gamma[A, B, C] e_C`` over the complexified frame."""
+    """``grad_{e_A} e_B = gamma[A, B, C] e_C`` over the complexified frame;
+    ``gamma[..., A, B, C]`` and ``g[..., A, B]`` for a stack of metrics."""
 
     kind: ConnectionKind
     n: int
@@ -390,6 +392,9 @@ def connection(kind: ConnectionKind,
     of this module those are the corrections that make the lowered torsion
     totally skew, respectively kill the (1,1)-torsion, while keeping the
     (1,0)-frame parallel.
+
+    ``g`` is one frame metric or a stack ``g[..., A, B]`` of them; the
+    coefficients then carry the same leading axes.
     """
     n = bracket.n
     f = bracket.f
@@ -398,11 +403,11 @@ def connection(kind: ConnectionKind,
         dw = d_omega(f, g, n)
         jd = _j_diagonal(n)
         if kind is ConnectionKind.BISMUT:
-            lowered = lowered + 0.5 * np.einsum("a,b,c,abc->abc", jd, jd, jd, dw)
+            lowered = lowered + 0.5 * np.einsum("a,b,c,...abc->...abc", jd, jd, jd, dw)
         else:
-            lowered = lowered - 0.5 * np.einsum("a,abc->abc", jd, dw)
+            lowered = lowered - 0.5 * np.einsum("a,...abc->...abc", jd, dw)
     ginv = np.linalg.inv(g)
-    gamma = np.einsum("abd,dc->abc", lowered, ginv)
+    gamma = np.einsum("...abd,...dc->...abc", lowered, ginv)
     return ConnectionCoefficients(kind=kind, n=n, gamma=gamma, g=g)
 
 
@@ -410,15 +415,20 @@ def connection(kind: ConnectionKind,
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature(conn: ConnectionCoefficients, bracket: BracketTable) -> CurvatureTensor:
+def curvature(conn: ConnectionCoefficients, bracket: BracketTable
+              ) -> CurvatureTensor | list[CurvatureTensor]:
     """Lowered curvature of an invariant connection.
 
     Components are reported with the calibrated sign
-    ``CURVATURE_COMPONENT_SIGN * g(R(e_A, e_B) e_C, e_D)``.
+    ``CURVATURE_COMPONENT_SIGN * g(R(e_A, e_B) e_C, e_D)``.  A connection
+    over a stack of metrics gives the list of their curvatures, computed as
+    one stack.
     """
-    direct = _direct_lowered_curvature(conn.gamma, bracket.f, conn.g)
-    return CurvatureTensor(n=conn.n, connection=conn.kind.value,
-                           data=CURVATURE_COMPONENT_SIGN * direct)
+    direct = CURVATURE_COMPONENT_SIGN * _direct_lowered_curvature(conn.gamma, bracket.f,
+                                                                  conn.g)
+    tensors = [CurvatureTensor(n=conn.n, connection=conn.kind.value, data=d)
+               for d in direct.reshape((-1,) + direct.shape[-4:])]
+    return tensors if conn.gamma.ndim > 3 else tensors[0]
 
 
 def _direct_lowered_curvature(gamma: np.ndarray, f: np.ndarray, g: np.ndarray,
@@ -426,11 +436,12 @@ def _direct_lowered_curvature(gamma: np.ndarray, f: np.ndarray, g: np.ndarray,
                               C: slice = slice(None), D: slice = slice(None)
                               ) -> np.ndarray:
     """``g(R(e_A, e_B) e_C, e_D)`` with ``R(X,Y) = [grad_X, grad_Y] - grad_[X,Y]``,
-    restricted to the frame blocks ``A, B, C, D`` (the whole frame by default)."""
-    action = (np.einsum("bce,aef->abcf", gamma[B, C], gamma[A])
-              - np.einsum("ace,bef->abcf", gamma[A, C], gamma[B])
-              - np.einsum("abe,ecf->abcf", f[A, B], gamma[:, C]))
-    return np.einsum("abcf,fd->abcd", action, g[:, D])
+    restricted to the frame blocks ``A, B, C, D`` (the whole frame by
+    default), for one connection or a stack ``gamma[..., A, B, C]``."""
+    action = (np.einsum("...bce,...aef->...abcf", gamma[..., B, C, :], gamma[..., A, :, :])
+              - np.einsum("...ace,...bef->...abcf", gamma[..., A, C, :], gamma[..., B, :, :])
+              - np.einsum("abe,...ecf->...abcf", f[A, B], gamma[..., C, :]))
+    return np.einsum("...abcf,...fd->...abcd", action, g[..., D])
 
 
 @dataclass(frozen=True)
@@ -441,39 +452,45 @@ class CplxReport:
     tolerance: float
 
 
-def check_cplx(omega: CurvatureTensor) -> CplxReport:
+@functools.cache
+def _pure_type_offsets(n: int) -> np.ndarray:
+    """Flat offsets into a (2n)^4 tensor of its components with a pure-type
+    pair, block by block: a holomorphic first pair, an antiholomorphic first
+    pair, then the same for the second pair, each block in C order."""
+    h, a, full = slice(0, n), slice(n, 2 * n), slice(None)
+    flat = np.arange((2 * n) ** 4).reshape((2 * n,) * 4)
+    blocks = [(h, h, full, full), (a, a, full, full), (full, full, h, h), (full, full, a, a)]
+    offsets = np.concatenate([flat[blk].ravel() for blk in blocks])
+    offsets.setflags(write=False)
+    return offsets
+
+
+def check_cplx(omega: CurvatureTensor | Sequence[CurvatureTensor]
+               ) -> CplxReport | list[CplxReport]:
     """Check that every component with a pure-type index pair vanishes.
 
     A pair is pure when both slots are holomorphic or both antiholomorphic;
-    the first and the second pair of the curvature are examined.
+    the first and the second pair of the curvature are examined, and the
+    witness is the first largest violation in the order of
+    ``_pure_type_offsets``.  A list of tensors of one n gives the list of
+    their reports, computed as one stack.
     """
-    n = omega.n
-    data = omega.data
-    h = slice(0, n)
-    a = slice(n, 2 * n)
-    pure_first = [(h, h), (a, a)]
-    pure_second = pure_first
-    blocks: list[tuple[slice, slice, slice, slice]] = []
-    full = slice(0, 2 * n)
-    for p1, p2 in pure_first:
-        blocks.append((p1, p2, full, full))
-    for q1, q2 in pure_second:
-        blocks.append((full, full, q1, q2))
-    max_violation = 0.0
-    witness: tuple[FrameIndex, ...] | None = None
-    for blk in blocks:
-        sub = np.abs(data[blk])
-        local = float(sub.max()) if sub.size else 0.0
-        if local > max_violation:
-            max_violation = local
-            idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            offsets = tuple(s.start for s in blk)
-            flat = tuple(o + i for o, i in zip(offsets, idx))
-            witness = tuple(FrameIndex.from_flat(x, n) for x in flat)
-    tol = zero_threshold(omega.magnitude)
-    satisfied = max_violation <= tol
-    return CplxReport(satisfied=satisfied, max_violation=max_violation,
-                      witness=None if satisfied else witness, tolerance=tol)
+    single = isinstance(omega, CurvatureTensor)
+    tensors = [omega] if single else list(omega)
+    n = tensors[0].n
+    moduli = np.abs(np.stack([t.data for t in tensors])).reshape(len(tensors), -1)
+    offsets = _pure_type_offsets(n)
+    pure = moduli[:, offsets]
+    reports = []
+    for violation, magnitude, at in zip(pure.max(axis=1).tolist(), moduli.max(axis=1).tolist(),
+                                        offsets[pure.argmax(axis=1)].tolist()):
+        tol = zero_threshold(magnitude)
+        satisfied = violation <= tol
+        witness = None if satisfied else tuple(
+            FrameIndex.from_flat(int(x), n) for x in np.unravel_index(at, (2 * n,) * 4))
+        reports.append(CplxReport(satisfied=satisfied, max_violation=violation,
+                                  witness=witness, tolerance=tol))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------

@@ -64,24 +64,28 @@ class SignClassification:
 
 
 def biquadratic(block: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> float:
-    xi, nu = np.asarray(xi), np.asarray(nu)
-    return float(_biquadratic_rows(np.asarray(block)[None], xi[None], nu[None])[0])
+    block, xi, nu = np.asarray(block), np.asarray(xi), np.asarray(nu)
+    size = np.max(np.abs(block))
+    return float(_biquadratic_rows(block[None], xi[None], nu[None], size)[0])
 
 
-def _biquadratic_rows(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray
-                      ) -> np.ndarray:
+def _biquadratic_rows(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray,
+                      size: np.ndarray | float) -> np.ndarray:
     """The biquadratic of ``blocks[s]`` at row ``s`` of the (S, n) stacks
-    ``xi`` and ``nu``."""
+    ``xi`` and ``nu``.  ``size[s] = max|blocks[s]|`` scales the realness
+    test, as the rounding of the sum does."""
     val = np.einsum("sijkl,si,sj,sk,sl->s", blocks, xi, np.conj(xi), nu, np.conj(nu))
-    if np.any(np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val))):
+    if np.any(np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val) + size)):
         raise AssertionError(f"biquadratic value is not real: {val!r}")
     return val.real
 
 
-def _partial_matrix(blocks: np.ndarray, vecs: np.ndarray, frozen: str) -> np.ndarray:
+def _partial_matrix(blocks: np.ndarray, vecs: np.ndarray, frozen: str,
+                    size: np.ndarray | float) -> np.ndarray:
     """Hermitian matrices left after freezing one argument of the biquadratic
     of ``blocks[s]`` at row ``s`` of the (S, n) stack ``vecs``; returns an
-    (S, n, n) stack.
+    (S, n, n) stack.  ``size[s] = max|blocks[s]|`` scales the Hermitian
+    defect test.
 
     The free slot pairs as ``sum_ij x_i A[i, j] conj(x_j)``, which is the
     standard Hermitian form of ``A`` transposed; the transpose is applied
@@ -93,7 +97,7 @@ def _partial_matrix(blocks: np.ndarray, vecs: np.ndarray, frozen: str) -> np.nda
         A = np.einsum("sijkl,si,sj->skl", blocks, vecs, np.conj(vecs))
     AH = A.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(A - AH), axis=(-2, -1))
-    bad = defect > 1e-10 * (1.0 + np.max(np.abs(A), axis=(-2, -1)))
+    bad = defect > 1e-10 * (1.0 + np.max(np.abs(A), axis=(-2, -1)) + size)
     if np.any(bad):
         raise AssertionError(
             f"partial matrix not Hermitian (defect {np.max(defect[bad]):.2e})")
@@ -133,31 +137,49 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xi.reshape(lead + (4, n)), vh[..., 0, :].reshape(lead + (4, n))
 
 
-def _alternate(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray,
-               minimize: np.ndarray
+#: rows of the eigen-iteration that share one gathered copy of their
+#: blocks: a copy of every row's block would add its size (1.3 MB for a
+#: table3 case) to the peak memory, while below about 512 rows the per-chunk
+#: overhead starts to show
+ROW_CHUNK = 512
+
+
+def _alternate(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
+               nu: np.ndarray, minimize: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Alternating eigen-iteration on every row of the (R, n) start stacks
-    ``xi``, ``nu`` at once, row ``r`` on the block ``blocks[r]``; it
-    minimizes where ``minimize[r]`` is set and maximizes otherwise.  Each
-    half step is an exact optimum, so every row's objective is monotone.  A
-    row retires once its value is stationary.  Returns per-row (value, xi,
-    nu, stationary)."""
+    ``xi``, ``nu`` at once, row ``r`` on the block ``blocks[owner[r]]`` of
+    the (T, n, n, n, n) stack ``blocks``; it minimizes where ``minimize[r]``
+    is set and maximizes otherwise.  Each half step is an exact optimum, so
+    every row's objective is monotone.  A row retires once its value is
+    stationary.  Returns per-row (value, xi, nu, stationary).
+
+    The rows are gathered ``ROW_CHUNK`` at a time, each chunk's block copy
+    freed before the next is made; a row's arithmetic does not depend on
+    the rows beside it."""
     pick = np.where(minimize, 0, -1)
-    # eigh rounds at the scale of the block, so the monotonicity slack does too
-    size = np.max(np.abs(blocks.reshape(len(blocks), -1)), axis=1)
-    value = _biquadratic_rows(blocks, xi, nu)
+    # eigh and the sums round at the scale of the block, so every check's
+    # slack does too
+    size = np.max(np.abs(blocks.reshape(len(blocks), -1)), axis=1)[owner]
+    value = np.empty(len(owner))
+    for at in range(0, len(owner), ROW_CHUNK):
+        part = slice(at, at + ROW_CHUNK)
+        value[part] = _biquadratic_rows(blocks[owner[part]], xi[part], nu[part], size[part])
     xi, nu = xi.copy(), nu.copy()
     stationary = np.zeros(len(value), dtype=bool)
     active = np.arange(len(value))
     for _ in range(MAX_ALTERNATIONS):
-        rows = np.arange(len(active))
-        cols = pick[active]
-        mine = blocks[active]
-        _, vecs = np.linalg.eigh(_partial_matrix(mine, nu[active], frozen="nu"))
-        new_xi = vecs[rows, :, cols]
-        vals, vecs = np.linalg.eigh(_partial_matrix(mine, new_xi, frozen="xi"))
-        new_nu = vecs[rows, :, cols]
-        new_value = vals[rows, cols]
+        new_xi, new_nu = np.empty_like(xi[active]), np.empty_like(nu[active])
+        new_value = np.empty(len(active))
+        for at in range(0, len(active), ROW_CHUNK):
+            part, own = active[at:at + ROW_CHUNK], slice(at, at + ROW_CHUNK)
+            rows, cols = np.arange(len(part)), pick[part]
+            mine, scale = blocks[owner[part]], size[part]
+            _, vecs = np.linalg.eigh(_partial_matrix(mine, nu[part], "nu", scale))
+            new_xi[own] = vecs[rows, :, cols]
+            vals, vecs = np.linalg.eigh(_partial_matrix(mine, new_xi[own], "xi", scale))
+            new_nu[own], new_value[own] = vecs[rows, :, cols], vals[rows, cols]
+            del mine
         old = value[active]
         slack = 1e-12 * (1.0 + np.abs(old) + size[active])
         mins = minimize[active]
@@ -176,9 +198,6 @@ def _alternate(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray,
 
 def _mixed_block(omega: CurvatureTensor | np.ndarray) -> np.ndarray:
     if isinstance(omega, CurvatureTensor):
-        report = check_cplx(omega)
-        if not report.satisfied:
-            raise CplxViolationError(report)
         return omega.mixed_block()
     block = np.asarray(omega, dtype=complex)
     if block.ndim != 4 or len(set(block.shape)) != 1:
@@ -206,6 +225,10 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
         raise ValueError(f"starts must be >= 1, got {starts}")
     if not isinstance(omega, (list, tuple)):
         return classify([omega], starts, [seed], rtol)[0]
+    tensors = [o for o in omega if isinstance(o, CurvatureTensor)]
+    for report in (check_cplx(tensors) if tensors else []):
+        if not report.satisfied:
+            raise CplxViolationError(report)
     blocks = [_mixed_block(o) for o in omega]
     if len(seed) != len(blocks):
         raise ValueError(f"{len(blocks)} tensors need as many seeds, got {len(seed)}")
@@ -234,7 +257,7 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
     stack = np.stack([block for _, block, *_ in live])
     xi_s, nu_s = _spectral_starts(stack)
     values, xis, nus, ok = _alternate(
-        np.repeat(stack, len(minimize), axis=0),
+        stack, np.repeat(np.arange(len(live)), len(minimize)),
         np.concatenate([np.concatenate([xi, xi, s]) for (*_, xi, _), s in zip(live, xi_s)]),
         np.concatenate([np.concatenate([nu, nu, s]) for (*_, nu), s in zip(live, nu_s)]),
         minimize=np.tile(minimize, len(live)))
@@ -253,7 +276,7 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
         # certify the extremes at the returned witnesses
         for val, wit in ((best_min, min_wit), (best_max, max_wit)):
             recheck = biquadratic(block, *wit)
-            if abs(recheck - val) > 1e-10 * (1.0 + abs(val)):
+            if abs(recheck - val) > 1e-10 * (1.0 + abs(val) + magnitude):
                 raise AssertionError("witness does not reproduce its extreme value")
         if best_min < -tol and best_max > tol:
             verdict = Verdict.INDEFINITE

@@ -5,6 +5,10 @@
   the per-flow ``flow_preservation_check`` that the stacked matmul engine
   replaced.  The stacked engine must agree with them to round-off and give
   the same reports.
+* The per-metric Bismut curvature and pure-type check, and the per-sample
+  ``classify_case`` loop, that the stacked scan and the batched sign
+  classification replaced.  The stacked path must reproduce them bit for
+  bit and give the same table3 bytes.
 * Helpers that only the tests use: the invariant exterior derivative and
   the pluriclosed predicate built on it, the Bismut-Chern comparison
   identity, the conjugation symmetry of a bracket table, the full Chern
@@ -22,19 +26,22 @@ from hermflow import hopf
 from hermflow.oracle import (DEFAULT_STEP_SCALE, RICHARDSON_STEP_SCALE,
                              PointMetricField, _check_point,
                              wirtinger_derivative)
-from hermflow.catalog import (CASE_INDEX, NAMED_FLOWS, FlowCoefficients,
-                              FlowPreservationReport, _sample_slice,
+from hermflow.catalog import (CASE_INDEX, CASES, NAMED_FLOWS, ClassificationRow,
+                              FlowCoefficients, FlowPreservationReport,
+                              Table3Result, WitnessResult, _never_witness,
+                              _sample_off_slice, _sample_slice, _witnesses,
                               bismut_curvature, instantiate)
 from hermflow.flows import Termination
-from hermflow.invariant import (_DP_A, _DP_E, FLOW_ATOL, FLOW_RTOL,
-                                BracketTable, ConnectionCoefficients,
-                                ConnectionKind, FlowDegenerationError,
+from hermflow.invariant import (_DP_A, _DP_E, CURVATURE_COMPONENT_SIGN, FLOW_ATOL,
+                                FLOW_RTOL, BracketTable, ConnectionCoefficients,
+                                ConnectionKind, CplxReport, FlowDegenerationError,
                                 FlowStepStats, InvariantFlowResult,
                                 MetricCoefficients, MetricError,
                                 _coefficient_rates, _direct_lowered_curvature,
-                                _j_diagonal, connection, dualize, frame_metric)
+                                _j_diagonal, _koszul_lowered, connection, d_omega,
+                                dualize, frame_metric, sample_admissible_metric)
 from hermflow.positivity import classify
-from hermflow.tensors import zero_threshold
+from hermflow.tensors import CurvatureTensor, FrameIndex, zero_threshold
 
 # ---------------------------------------------------------------------------
 # torsion and the einsum flow tangent
@@ -236,6 +243,121 @@ def flow_preservation_check(case_key: str, extra_flows: int = 5,
                                     slice_drift=slice_drift, verdicts=verdicts,
                                     flat_drift=flat_drift, degenerated=degenerated)
     return report, results
+
+
+# ---------------------------------------------------------------------------
+# the per-metric pure-type scan and the per-sample classify_case
+# ---------------------------------------------------------------------------
+
+def bismut_curvature_alone(eqs, m: MetricCoefficients, bracket: BracketTable
+                           ) -> CurvatureTensor:
+    """One metric's Bismut curvature through the unstacked einsums of the
+    per-metric ``connection`` and ``curvature``."""
+    n, f = bracket.n, bracket.f
+    g = frame_metric(m)
+    jd = _j_diagonal(n)
+    lowered = (_koszul_lowered(f, g)
+               + 0.5 * np.einsum("a,b,c,abc->abc", jd, jd, jd, d_omega(f, g, n)))
+    gamma = np.einsum("abd,dc->abc", lowered, np.linalg.inv(g))
+    action = (np.einsum("bce,aef->abcf", gamma, gamma)
+              - np.einsum("ace,bef->abcf", gamma, gamma)
+              - np.einsum("abe,ecf->abcf", f, gamma))
+    return CurvatureTensor(n=n, connection=ConnectionKind.BISMUT.value,
+                           data=CURVATURE_COMPONENT_SIGN * np.einsum("abcf,fd->abcd", action, g))
+
+
+def check_cplx_alone(omega: CurvatureTensor) -> CplxReport:
+    """The pure-type check of one tensor, block by block."""
+    n = omega.n
+    data = omega.data
+    h, a, full = slice(0, n), slice(n, 2 * n), slice(0, 2 * n)
+    blocks = [(h, h, full, full), (a, a, full, full), (full, full, h, h), (full, full, a, a)]
+    max_violation = 0.0
+    witness = None
+    for blk in blocks:
+        sub = np.abs(data[blk])
+        local = float(sub.max())
+        if local > max_violation:
+            max_violation = local
+            idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
+            witness = tuple(FrameIndex.from_flat(s.start + i, n) for s, i in zip(blk, idx))
+    tol = zero_threshold(omega.magnitude)
+    satisfied = max_violation <= tol
+    return CplxReport(satisfied=satisfied, max_violation=max_violation,
+                      witness=None if satisfied else witness, tolerance=tol)
+
+
+def classify_case(case, samples: int, rng: np.random.Generator,
+                  sign_samples: int = 8, starts: int = 64) -> ClassificationRow:
+    """One classification row, metric by metric and sample by sample."""
+    eqs = instantiate(case.family, **case.params)
+    bracket = dualize(eqs)
+    detail: dict = {}
+
+    def cplx_ok(m):
+        omega = bismut_curvature_alone(eqs, m, bracket)
+        return check_cplx_alone(omega).satisfied, omega
+
+    witnesses: list[WitnessResult] = []
+    random_pass = 0
+    for _ in range(samples):
+        ok, _ = cplx_ok(sample_admissible_metric(rng))
+        random_pass += int(ok)
+    detail["random_pass"] = random_pass
+    detail["random_total"] = samples
+    n_aux = max(10, samples // 10)
+    if case.cplx == "always":
+        observed = "always" if random_pass == samples else "violated"
+    elif case.cplx == "slice":
+        slice_pass = 0
+        for _ in range(n_aux):
+            ok, _ = cplx_ok(_sample_slice(rng, case.cplx_slice))
+            slice_pass += int(ok)
+        off_fail = 0
+        for _ in range(n_aux):
+            ok, _ = cplx_ok(_sample_off_slice(rng, case.cplx_slice))
+            off_fail += int(not ok)
+        detail["slice_pass"] = slice_pass
+        detail["slice_total"] = n_aux
+        detail["off_slice_fail"] = off_fail
+        if slice_pass == n_aux and off_fail == n_aux and random_pass == 0:
+            observed = "slice"
+        else:
+            observed = "inconsistent"
+    else:
+        slice_fail = True
+        for slice_spec in case.never_slices:
+            for _ in range(n_aux):
+                m = _sample_slice(rng, slice_spec)
+                ok, omega = cplx_ok(m)
+                if ok:
+                    slice_fail = False
+                witnesses.extend(_never_witness(case, m, omega))
+        observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
+    verdict = None
+    if case.expected_verdict is not None:
+        verdicts = set()
+        for _ in range(sign_samples):
+            m = _sample_slice(rng, case.sign_slice)
+            omega = bismut_curvature_alone(eqs, m, bracket)
+            result = classify(omega, starts=starts, seed=int(rng.integers(0, 2 ** 31)))
+            verdicts.add(result.verdict.value)
+            witnesses.extend(_witnesses(case, m, omega))
+        verdict = verdicts.pop() if len(verdicts) == 1 else "mixed:" + ",".join(sorted(verdicts))
+    dedup: dict[str, WitnessResult] = {}
+    for w in witnesses:
+        if w.name not in dedup or not w.ok:
+            dedup[w.name] = w
+    return ClassificationRow(key=case.key, family=case.family, params=case.params,
+                             cplx_observed=observed, cplx_detail=detail,
+                             verdict_observed=verdict,
+                             witnesses=list(dedup.values()), note=case.note)
+
+
+def regenerate_table3(samples_per_family: int, seed: int) -> Table3Result:
+    rng = np.random.default_rng(seed)
+    rows = [classify_case(case, samples_per_family, rng) for case in CASES]
+    return Table3Result(rows=rows, samples=samples_per_family, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,9 @@ def test_partial_matrices_are_hermitian_forms(rng):
     nus = np.array([_random_unit(rng, 3) for _ in range(10)])
     xis = np.array([_random_unit(rng, 3) for _ in range(10)])
     rows = np.broadcast_to(block, (10,) + block.shape)
-    A = _partial_matrix(rows, nus, frozen="nu")
-    B = _partial_matrix(rows, xis, frozen="xi")
+    size = np.max(np.abs(block))
+    A = _partial_matrix(rows, nus, "nu", size)
+    B = _partial_matrix(rows, xis, "xi", size)
     assert A.shape == B.shape == (10, 3, 3)
     for M in (A, B):
         assert np.max(np.abs(M - M.conj().swapaxes(-1, -2))) < 1e-10
@@ -89,7 +90,7 @@ def test_alternating_iteration_monotone_and_certified(rng):
     block = omega.mixed_block()
     pairs = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(10)]
     xi0, nu0 = (np.array(v) for v in zip(*pairs))
-    vals, xis, nus, ok = _alternate(np.broadcast_to(block, (10,) + block.shape),
+    vals, xis, nus, ok = _alternate(block[None], np.zeros(10, dtype=int),
                                     xi0, nu0, minimize=np.ones(10, dtype=bool))
     assert vals.shape == ok.shape == (10,)
     for val, xi, nu, stationary, a, b in zip(vals, xis, nus, ok, xi0, nu0):
@@ -145,6 +146,18 @@ def test_nonpositive_verdict(rng):
     res = classify(hopf.bismut_mixed_block(h, random_point(rng, 3)), seed=3)
     assert res.verdict is Verdict.NON_POSITIVE
     assert res.verdict.is_nonpositive and not res.verdict.is_nonnegative
+
+
+def test_checks_scale_with_the_block():
+    # the witness recheck, the realness test and the Hermitian-defect test
+    # allow rounding at the scale of the block, so a large block whose
+    # minimum is zero raises nothing (its stationarity test still scales
+    # with the value, so INDETERMINATE may come out)
+    rng = np.random.default_rng(0)
+    h = hopf.HopfMetric(3, 1.0, -0.5)
+    for _ in range(20):
+        res = classify(1e6 * hopf.bismut_mixed_block(h, random_point(rng, 3)), starts=8)
+        assert res.verdict in (Verdict.NON_NEGATIVE, Verdict.INDETERMINATE)
 
 
 # ---------------------------------------------------------------------------

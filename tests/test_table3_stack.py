@@ -1,0 +1,150 @@
+"""The stacked table3 path against the per-metric and per-sample reference.
+
+The pure-type scan computes its Bismut curvatures ``SCAN_CHUNK`` metrics to
+a stack and checks each stack at once; a case's sign samples go to one
+batched ``classify``.  Everything it prints must equal the per-metric loop
+bit for bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hermflow import catalog, positivity
+from hermflow.catalog import (CASE_INDEX, CASES, SCAN_CHUNK, _sample_slice,
+                              bismut_curvature, classify_case, instantiate,
+                              regenerate_table3, render_json)
+from hermflow.invariant import check_cplx, dualize, sample_admissible_metric
+from hermflow.positivity import classify
+from tests import reference
+
+# more than one chunk, the last one short
+RANDOM_METRICS = SCAN_CHUNK + 4
+
+
+def _case_metrics(case, seed):
+    """Random metrics and sign-slice metrics of ``case``."""
+    rng = np.random.default_rng(seed)
+    metrics = [sample_admissible_metric(rng) for _ in range(RANDOM_METRICS)]
+    return metrics + [_sample_slice(rng, case.sign_slice) for _ in range(8)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_bismut_curvature_equals_per_metric(seed):
+    for case in CASES:
+        eqs = instantiate(case.family, **case.params)
+        bracket = dualize(eqs)
+        metrics = _case_metrics(case, seed)
+        stacked = bismut_curvature(eqs, metrics, bracket)
+        assert len(stacked) == len(metrics)
+        for m, omega in zip(metrics, stacked):
+            want = reference.bismut_curvature_alone(eqs, m, bracket)
+            assert np.array_equal(omega.data, want.data), case.key
+            assert omega.connection == want.connection == "bismut"
+        # one metric is a stack of one
+        single = bismut_curvature(eqs, metrics[0], bracket)
+        assert np.array_equal(single.data, stacked[0].data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_check_cplx_equals_per_tensor_reports(seed):
+    seen_violations = 0
+    for case in CASES:
+        eqs = instantiate(case.family, **case.params)
+        bracket = dualize(eqs)
+        omegas = bismut_curvature(eqs, _case_metrics(case, seed), bracket)
+        for got, omega in zip(check_cplx(omegas), omegas):
+            want = reference.check_cplx_alone(omega)
+            assert got == want, case.key
+            assert type(got.max_violation) is float and type(got.tolerance) is float
+            seen_violations += not got.satisfied
+        assert check_cplx(omegas[0]) == reference.check_cplx_alone(omegas[0])
+    # the witnesses of failing tensors were compared too
+    assert seen_violations > 100
+
+
+def _same_classification(got, want):
+    assert got.verdict == want.verdict
+    assert got.min_value == want.min_value and got.max_value == want.max_value
+    assert got.stationary == want.stationary
+    assert got.tolerance == want.tolerance and got.magnitude == want.magnitude
+    for a, b in zip(got.min_witness + got.max_witness, want.min_witness + want.max_witness):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("row_chunk, starts", [(positivity.ROW_CHUNK, 64), (37, 16)])
+def test_batched_classify_equals_per_tensor_on_table3_sign_samples(row_chunk, starts,
+                                                                  monkeypatch):
+    # also with chunks that split a tensor's rows, since a row's arithmetic
+    # must not depend on the rows gathered beside it
+    rng = np.random.default_rng(3)
+    samples = []
+    for case in (c for c in CASES if c.expected_verdict):
+        eqs = instantiate(case.family, **case.params)
+        metrics, seeds = [], []
+        for _ in range(8):
+            metrics.append(_sample_slice(rng, case.sign_slice))
+            seeds.append(int(rng.integers(0, 2 ** 31)))
+        samples.append((bismut_curvature(eqs, metrics), seeds))
+    monkeypatch.setattr(positivity, "ROW_CHUNK", row_chunk)
+    batches = [classify(omegas, starts, seeds) for omegas, seeds in samples]
+    monkeypatch.setattr(positivity, "ROW_CHUNK", 10 ** 6)
+    for batch, (omegas, seeds) in zip(batches, samples):
+        for got, omega, seed in zip(batch, omegas, seeds):
+            _same_classification(got, classify(omega, starts, seed))
+
+
+def test_classify_checks_every_tensor_of_a_batch(unit_metric):
+    fine = bismut_curvature(instantiate("Np", rho=1), unit_metric)
+    bad = bismut_curvature(instantiate("Sv"), unit_metric)
+    with pytest.raises(positivity.CplxViolationError):
+        classify([fine, bad], starts=4, seed=[0, 1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table3_json_equals_per_sample_reference(seed):
+    got = render_json(regenerate_table3(50, seed))
+    assert got == render_json(reference.regenerate_table3(50, seed))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(5))
+def test_table3_json_equals_per_sample_reference_at_200_samples(seed):
+    got = render_json(regenerate_table3(200, seed))
+    assert got == render_json(reference.regenerate_table3(200, seed))
+
+
+def test_classify_case_scans_in_chunks(monkeypatch):
+    # the random phase of a 200-sample case makes ceil(200 / SCAN_CHUNK)
+    # curvature calls, not 200, and the sign samples one classify call
+    calls = {"curvature": 0, "classify": 0}
+    curvature, batch = catalog.bismut_curvature, catalog.classify
+
+    def counting_curvature(*args, **kwargs):
+        calls["curvature"] += 1
+        return curvature(*args, **kwargs)
+
+    def counting_classify(*args, **kwargs):
+        calls["classify"] += 1
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "bismut_curvature", counting_curvature)
+    monkeypatch.setattr(catalog, "classify", counting_classify)
+    classify_case(CASE_INDEX["Np/iwasawa"], 200, np.random.default_rng(0))
+    assert calls == {"curvature": -(-200 // SCAN_CHUNK) + 1, "classify": 1}
+
+
+def test_classify_case_peak_memory_stays_small():
+    # one table3 case allocates about 1.6 MB at its peak; a copy of every
+    # start row's block, or one stack of all 200 metrics, would add more
+    # than 1 MB on top
+    case = CASE_INDEX["Siv3/generic"]
+    classify_case(case, 50, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        classify_case(case, 200, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, f"{peak / 2 ** 20:.2f} MB"
