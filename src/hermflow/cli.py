@@ -3,13 +3,16 @@
 Subcommands: ``families``, ``hopf``, ``flow``, ``cplx``, ``classify``,
 ``table3``.  All output is machine-readable (JSON, or CSV for trajectories);
 runs are deterministic for a fixed ``--seed`` (default from the
-``HERMFLOW_SEED`` environment variable).  Exit codes: 0 success, 1
-verification mismatch, 2 invalid input.
+``HERMFLOW_SEED`` environment variable, read for every command; a value that
+is not an integer exits 2).  ``main`` builds the argument parser on its first
+call and reuses it.  Exit codes: 0 success, 1 verification mismatch, 2
+invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -95,7 +98,11 @@ def parse_metric(text: str | None) -> MetricCoefficients:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("HERMFLOW_SEED", "0"))
+    text = os.environ.get("HERMFLOW_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"HERMFLOW_SEED must be an integer, got {text!r}") from None
 
 
 def _emit(doc: dict, out=None) -> None:
@@ -369,10 +376,17 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first command and reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # read for every command: the cached parser's default is stale
+        namespace = argparse.Namespace(seed=_default_seed())
+        args = _parser().parse_args(argv, namespace)
         return _HANDLERS[args.command](args)
     except (CliError, MetricError, catalog.CatalogError, ValueError,
             TypeError) as exc:

@@ -136,19 +136,6 @@ class FlowTrajectory:
         }
 
 
-def _rk4_step(y: tuple[float, float], k1: tuple[float, float],
-              fc: FlowCoefficients, n: int, h: float) -> tuple[float, float]:
-    """One classical Runge-Kutta step from ``y`` with its slope ``k1``
-    already evaluated; an inadmissible stage raises ``ValueError``."""
-    a, b = y
-    k1a, k1b = k1
-    k2a, k2b = ode_rhs((a + 0.5 * h * k1a, b + 0.5 * h * k1b), fc, n)
-    k3a, k3b = ode_rhs((a + 0.5 * h * k2a, b + 0.5 * h * k2b), fc, n)
-    k4a, k4b = ode_rhs((a + h * k3a, b + h * k3b), fc, n)
-    return (a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
-            b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b))
-
-
 def check_finite(**values: float) -> None:
     """Raise ``ValueError`` naming the first value that is NaN or infinite."""
     for name, value in values.items():
@@ -165,6 +152,54 @@ def _check_inputs(alpha0: float, beta0: float, fc: FlowCoefficients,
     _check_state(alpha0, beta0)
 
 
+def _slope_constants(fc: FlowCoefficients, n: int
+                     ) -> tuple[float, float, float, float, float]:
+    """``(n, p, ac, 1 - 2n, n - 1)`` for ``ode_rhs``'s formula, with
+    ``p = a + 2b + (n-1) d`` and ``ac = a + (n-1) c`` computed as it computes
+    them.  The integers are passed as floats: a float operation converts an
+    int operand exactly, so the bits are the same and the operations faster."""
+    return (float(n), fc.a + 2 * fc.b + (n - 1) * fc.d, fc.a + (n - 1) * fc.c,
+            float(1 - 2 * n), float(n - 1))
+
+
+def _rk4(a: float, b: float, ka: float, kb: float, h: float, n: float,
+         p: float, ac: float, c1: float, n1: float) -> tuple[float, float] | None:
+    """One classical Runge-Kutta step from the state ``(a, b)`` with its
+    slope ``(ka, kb)`` already evaluated: the new state, or None when a stage
+    or the result leaves the cone.  Every stage slope is ``ode_rhs``'s
+    formula in its order of operations, on float locals; ``** 2`` raises
+    ``OverflowError`` where ``ode_rhs`` does."""
+    sa = a + 0.5 * h * ka
+    sb = b + 0.5 * h * kb
+    if not sa > 0 or not sb > -sa:
+        return None
+    g = sb / sa
+    g1 = g + 1
+    k2a = g1 - n + g1 * p
+    k2b = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
+    sa = a + 0.5 * h * k2a
+    sb = b + 0.5 * h * k2b
+    if not sa > 0 or not sb > -sa:
+        return None
+    g = sb / sa
+    g1 = g + 1
+    k3a = g1 - n + g1 * p
+    k3b = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
+    sa = a + h * k3a
+    sb = b + h * k3b
+    if not sa > 0 or not sb > -sa:
+        return None
+    g = sb / sa
+    g1 = g + 1
+    k4a = g1 - n + g1 * p
+    k4b = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
+    a = a + (h / 6.0) * (ka + 2 * k2a + 2 * k3a + k4a)
+    b = b + (h / 6.0) * (kb + 2 * k2b + 2 * k3b + k4b)
+    if not a > 0 or not b > -a:
+        return None
+    return a, b
+
+
 def integrate_fixed_step(alpha0: float, beta0: float, fc: FlowCoefficients,
                          n: int, t_end: float, dt: float) -> tuple[float, float]:
     """Plain fixed-step Runge-Kutta endpoint, exposed for order checks."""
@@ -172,36 +207,19 @@ def integrate_fixed_step(alpha0: float, beta0: float, fc: FlowCoefficients,
     steps = int(round(t_end / dt))
     if abs(steps * dt - t_end) > 1e-12 * t_end:
         raise ValueError("t_end must be an integer multiple of dt")
+    consts = _slope_constants(fc, n)
     y = (float(alpha0), float(beta0))
     for _ in range(steps):
-        y = _rk4_step(y, ode_rhs(y, fc, n), fc, n, dt)
-        _check_state(*y)
+        step = _rk4(*y, *ode_rhs(y, fc, n), dt, *consts)
+        if step is None:
+            raise ValueError(f"the step from alpha={y[0]!r}, beta={y[1]!r} "
+                             "fails to stay in alpha > 0, beta > -alpha")
+        y = step
     return y
 
 
 #: per-step relative tolerance of the ratio, for the step-doubling control
 STEP_GAMMA_TOL = 1e-10
-
-
-def _doubled_step(y: tuple[float, float], k1: tuple[float, float],
-                  fc: FlowCoefficients, n: int, h: float
-                  ) -> tuple[float, float] | None:
-    """Two half steps from ``y``, or None when a stage or a result leaves the
-    cone or the ratio differs from one full step by more than
-    ``STEP_GAMMA_TOL``.  The full and the first half step share ``k1``."""
-    try:
-        full = _rk4_step(y, k1, fc, n, h)
-        _check_state(*full)
-        half = _rk4_step(y, k1, fc, n, 0.5 * h)
-        _check_state(*half)
-        fine = _rk4_step(half, ode_rhs(half, fc, n), fc, n, 0.5 * h)
-        _check_state(*fine)
-    except (ValueError, OverflowError):
-        return None
-    gamma_err = abs(full[1] / full[0] - fine[1] / fine[0])
-    if gamma_err > STEP_GAMMA_TOL * (1.0 + abs(fine[1] / fine[0])):
-        return None
-    return fine
 
 
 def integrate(alpha0: float, beta0: float, fc: FlowCoefficients, n: int,
@@ -219,15 +237,18 @@ def integrate(alpha0: float, beta0: float, fc: FlowCoefficients, n: int,
 
     The state is a pair of floats, and its slope is evaluated once for the
     full step, the first half step and every halved retry.  A slope that
-    overflows a double rejects the step like an inadmissible stage.
+    overflows a double rejects the step like an inadmissible stage.  The
+    slopes are ``ode_rhs``'s formula written out on float locals (here and
+    in ``_rk4``), so every bit matches a stepper that calls ``ode_rhs``.
     """
     _check_inputs(alpha0, beta0, fc, t_end, dt)
-    sc = scalars(fc, n)
-    y = (float(alpha0), float(beta0))
+    static = scalars(fc, n).static_ratio
+    nf, p, ac, c1, n1 = _slope_constants(fc, n)
+    a, b = float(alpha0), float(beta0)
     t = 0.0
     times = [0.0]
-    alphas = [y[0]]
-    betas = [y[1]]
+    alphas = [a]
+    betas = [b]
     near_static = 0
     termination = Termination.REACHED_T_END
     exit_time: float | None = None
@@ -235,30 +256,51 @@ def integrate(alpha0: float, beta0: float, fc: FlowCoefficients, n: int,
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
         try:
-            k1 = ode_rhs(y, fc, n)
+            g = b / a
+            g1 = g + 1
+            ka = g1 - nf + g1 * p
+            kb = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
         except OverflowError:
-            k1 = None
-        candidate = None
-        while k1 is not None and h >= MIN_DT:
-            candidate = _doubled_step(y, k1, fc, n, h)
-            if candidate is not None:
-                break
+            h = 0.0
+        fine = None
+        while h >= MIN_DT:
+            # the doubled step: one full step against two half steps
+            try:
+                full = _rk4(a, b, ka, kb, h, nf, p, ac, c1, n1)
+                if full is not None:
+                    half = _rk4(a, b, ka, kb, 0.5 * h, nf, p, ac, c1, n1)
+                    if half is not None:
+                        ha, hb = half
+                        g = hb / ha
+                        g1 = g + 1
+                        fine = _rk4(ha, hb, g1 - nf + g1 * p,
+                                    g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p,
+                                    0.5 * h, nf, p, ac, c1, n1)
+            except OverflowError:
+                fine = None
+            if fine is not None:
+                gamma_fine = fine[1] / fine[0]
+                # `not >` rather than `<=`: a NaN ratio error accepts the step
+                if not (abs(full[1] / full[0] - gamma_fine)
+                        > STEP_GAMMA_TOL * (1.0 + abs(gamma_fine))):
+                    break
+                fine = None
             h *= 0.5
-        if candidate is None:
+        if fine is None:
             termination = Termination.LEFT_ADMISSIBLE_CONE
             exit_time = t
             break
-        y = candidate
+        a, b = fine
         t += h
         times.append(t)
-        alphas.append(y[0])
-        betas.append(y[1])
-        if y[0] < ALPHA_EXIT_FRACTION * alpha0:
+        alphas.append(a)
+        betas.append(b)
+        if a < ALPHA_EXIT_FRACTION * alpha0:
             termination = Termination.LEFT_ADMISSIBLE_CONE
             exit_time = t
             break
-        if sc.static_ratio is not None:
-            if abs(y[1] / y[0] - sc.static_ratio) < CONVERGENCE_TOL:
+        if static is not None:
+            if abs(b / a - static) < CONVERGENCE_TOL:
                 near_static += 1
                 if near_static >= CONVERGENCE_STEPS:
                     termination = Termination.CONVERGED
@@ -317,9 +359,9 @@ def trajectory_json(traj: FlowTrajectory) -> str:
                          "c": traj.coefficients.c, "d": traj.coefficients.d,
                          "name": traj.coefficients.name},
         "summary": traj.summary(),
-        "t": [float(x) for x in traj.times],
-        "alpha": [float(x) for x in traj.alphas],
-        "beta": [float(x) for x in traj.betas],
-        "gamma": [float(x) for x in traj.gammas],
+        "t": traj.times.tolist(),
+        "alpha": traj.alphas.tolist(),
+        "beta": traj.betas.tolist(),
+        "gamma": traj.gammas.tolist(),
     }
     return json.dumps(doc, sort_keys=True)

@@ -213,3 +213,21 @@ def test_seed_env_default(capsys, monkeypatch):
     from hermflow.cli import build_parser
     args = build_parser().parse_args(["families"])
     assert args.seed == 123
+
+
+def test_seed_env_read_per_command(capsys, monkeypatch):
+    # main builds its parser once; the seed default still follows the env
+    argv = ("classify", "--family", "Siv1", "--metric", "r2=1.2,s2=0.9,t2=1.1",
+            "--starts", "4")
+    seeds = []
+    for value in ("5", "6"):
+        monkeypatch.setenv("HERMFLOW_SEED", value)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [5, 6]
+    monkeypatch.setenv("HERMFLOW_SEED", "abc")
+    code, out, err = run(capsys, "families")
+    assert code == 2
+    assert out == ""
+    assert err == "error: HERMFLOW_SEED must be an integer, got 'abc'\n"

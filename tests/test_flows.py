@@ -337,6 +337,34 @@ def test_overflowing_slope_ends_the_flow_like_the_reference(alpha0, beta0, fc, n
     assert got.exit_time == 0.0
 
 
+@pytest.mark.slow
+def test_fused_stepper_matches_reference_into_a_blow_up():
+    # alpha grows to ~1e25 and the step shrinks to ~1e-12 before the cone
+    # exit is reported: 9,053 accepted steps, most of them halved retries
+    fc = FlowCoefficients(-0.13952320236471083, 1.9024887905141505,
+                          1.1977137538059877, 0.38728946681647436)
+    args = (1.1784440687233508, -0.4021858277432912, fc, 5, 3.14, 0.01)
+    got = integrate(*args)
+    _assert_same_trajectory(got, _reference_integrate(*args))
+    assert len(got.times) == 9053
+    assert got.termination is Termination.LEFT_ADMISSIBLE_CONE
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff, coeff, coeff, coeff,
+       st.integers(min_value=2, max_value=5),
+       st.floats(min_value=0.05, max_value=5.0),
+       st.floats(min_value=-0.99, max_value=3.0),
+       st.floats(min_value=0.01, max_value=0.5),
+       st.sampled_from(DOUBLING_DTS))
+def test_fused_stepper_matches_reference_on_random_flows(a, b, c, d, n, alpha0,
+                                                         gamma0, t_end, dt):
+    args = (alpha0, gamma0 * alpha0, FlowCoefficients(a, b, c, d), n, t_end, dt)
+    got = integrate(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_trajectory(got, _reference_integrate(*args))
+
+
 def test_scalar_fixed_step_matches_reference():
     # the Ustinovskiy flow leaves the cone before t = 0.4 for n >= 3, and
     # both steppers must then refuse the same endpoint
