@@ -168,6 +168,26 @@ class BracketTable:
         a, b, c, _ = np.unravel_index(flat, jac.shape)
         return worst, (int(a), int(b), int(c))
 
+    @functools.cached_property
+    def tangent_map(self) -> np.ndarray:
+        """The (9, 198) matrix with which ``x @ tangent_map`` holds the blocks
+        of ``_tangent_rows`` that are linear in the metric coordinates ``x``
+        (n = 3), flattened: ``G[i, k~]``, the lowered Chern block ``low[A, i,
+        k~]`` ordered ``(i, A, k)``, the trace sources ``(-low[b~], low[a])``
+        and ``W[(b, a)] = f[a, b~, E] low[E]``; row ``c`` holds them at the
+        ``c``-th unit vector, by the ``connection()`` formula."""
+        n = 3
+        G = np.array([MetricCoefficients.from_array(e).hermitian_matrix() for e in np.eye(9)])
+        g = np.zeros((9, 2 * n, 2 * n), dtype=complex)
+        g[:, :n, n:], g[:, n:, :n] = G, G.swapaxes(1, 2)
+        # the Chern correction -jd[A]/2 domega[A, B, C] of connection()
+        chern = (_koszul_lowered(self.f, g)
+                 - 0.5 * _j_diagonal(n)[:, None, None] * d_omega(self.f, g, n))
+        low = chern[:, :, :n, n:]
+        W = self.f[:n, n:].swapaxes(0, 1).reshape(n * n, 2 * n) @ low.reshape(9, 2 * n, n * n)
+        return np.concatenate([b.reshape(9, -1) for b in (
+            G, low.transpose(0, 2, 1, 3), -low[:, n:], low[:, :n], W)], axis=1)
+
 
 def dualize(eqs: ComplexStructureEquations) -> BracketTable:
     """Brackets of the frame dual to the structure equations.
@@ -210,6 +230,25 @@ def _check_reconstruction(eqs: ComplexStructureEquations, table: BracketTable) -
 # invariant metrics
 # ---------------------------------------------------------------------------
 
+def _cone_test(r2: float, s2: float, t2: float, ur: float, ui: float, vr: float,
+               vi: float, zr: float, zi: float) -> tuple[tuple, tuple]:
+    """The seven cone conditions at the coordinates of ``as_array``, in the
+    order ``validate`` reports them, and the terms they compare: ``|u|^2``,
+    ``|v|^2``, ``|z|^2`` and the determinant indicator.  Raises nothing."""
+    uu, vv, zz = ur * ur + ui * ui, vr * vr + vi * vi, zr * zr + zi * zi
+    # 2 Re(i conj(u) conj(v) z), in the order of the complex products
+    cross = (ui * vr + ur * vi) * zr - (ur * vr - ui * vi) * zi
+    det = r2 * s2 * t2 + 2.0 * cross - (r2 * vv + t2 * uu + s2 * zz)
+    held = (r2 > 0, s2 > 0, t2 > 0, r2 * s2 > uu, r2 * t2 > zz, s2 * t2 > vv, det > 0)
+    return held, (uu, vv, zz, det)
+
+
+def _admissible_rows(x: np.ndarray) -> np.ndarray:
+    """``from_array(r).is_admissible()`` for each row of the (R, 9) stack ``x``,
+    on floats: for a few rows, cheaper than forty numpy calls on columns."""
+    return np.array([all(_cone_test(*r)[0]) for r in x.tolist()], dtype=bool)
+
+
 @dataclass(frozen=True)
 class MetricCoefficients:
     """The six coefficients of an invariant Hermitian form in dimension 3."""
@@ -228,41 +267,33 @@ class MetricCoefficients:
         for name in ("u", "v", "z"):
             object.__setattr__(self, name, complex(getattr(self, name)))
 
+    def _cone(self):
+        u, v, z = self.u, self.v, self.z
+        return _cone_test(self.r2, self.s2, self.t2, u.real, u.imag, v.real, v.imag,
+                          z.real, z.imag)
+
     def validate(self) -> None:
-        # tested in this order; only the failing message is formatted
-        r2, s2, t2, u, v, z = self.r2, self.s2, self.t2, self.u, self.v, self.z
-        if not r2 > 0:
-            raise MetricError(f"r2 > 0 fails: r2={r2!r}")
-        if not s2 > 0:
-            raise MetricError(f"s2 > 0 fails: s2={s2!r}")
-        if not t2 > 0:
-            raise MetricError(f"t2 > 0 fails: t2={t2!r}")
-        if not r2 * s2 > abs(u) ** 2:
-            raise MetricError(f"r2*s2 > |u|^2 fails: {r2 * s2!r} <= {abs(u) ** 2!r}")
-        if not r2 * t2 > abs(z) ** 2:
-            raise MetricError(f"r2*t2 > |z|^2 fails: {r2 * t2!r} <= {abs(z) ** 2!r}")
-        if not s2 * t2 > abs(v) ** 2:
-            raise MetricError(f"s2*t2 > |v|^2 fails: {s2 * t2!r} <= {abs(v) ** 2!r}")
-        det = self.det_indicator()
-        if not det > 0:
-            raise MetricError(f"8i*det(Xi) > 0 fails: {det!r}")
+        held, (uu, vv, zz, det) = self._cone()
+        if all(held):
+            return
+        r2, s2, t2 = self.r2, self.s2, self.t2
+        # the first failing condition in order is reported
+        raise MetricError((f"r2 > 0 fails: r2={r2!r}",
+                           f"s2 > 0 fails: s2={s2!r}",
+                           f"t2 > 0 fails: t2={t2!r}",
+                           f"r2*s2 > |u|^2 fails: {r2 * s2!r} <= {uu!r}",
+                           f"r2*t2 > |z|^2 fails: {r2 * t2!r} <= {zz!r}",
+                           f"s2*t2 > |v|^2 fails: {s2 * t2!r} <= {vv!r}",
+                           f"8i*det(Xi) > 0 fails: {np.float64(det)!r}")[held.index(False)])
 
     def det_indicator(self) -> float:
         """The determinant-positivity scalar ``r2 s2 t2 + 2 Re(i conj(u v) z)
         - (r2 |v|^2 + t2 |u|^2 + s2 |z|^2)`` (equals 8 det of the frame
         metric block)."""
-        u, v, z = self.u, self.v, self.z
-        return (self.r2 * self.s2 * self.t2
-                + 2.0 * (1j * np.conj(u) * np.conj(v) * z).real
-                - (self.r2 * abs(v) ** 2 + self.t2 * abs(u) ** 2
-                   + self.s2 * abs(z) ** 2))
+        return np.float64(self._cone()[1][3])
 
     def is_admissible(self) -> bool:
-        try:
-            self.validate()
-        except MetricError:
-            return False
-        return True
+        return all(self._cone()[0])
 
     def hermitian_matrix(self) -> np.ndarray:
         """``G[i, j] = g(Z_i, conj Z_j)``; Hermitian positive definite."""
@@ -502,78 +533,73 @@ def metric_inverse_block(G: np.ndarray) -> np.ndarray:
     return np.linalg.inv(G)
 
 
-def second_ricci_trace(Ginv: np.ndarray, mixed_direct: np.ndarray) -> np.ndarray:
-    """``S[i, j] = g^{k l~} Omega[k, l~, i, j~]`` traced over the curvature
-    plane, for (..., n, n) stacks of ``Ginv`` and (..., n, n, n, n) blocks."""
-    n = Ginv.shape[-1]
-    w = Ginv.swapaxes(-1, -2).reshape(Ginv.shape[:-2] + (1, n * n))
-    S = w @ mixed_direct.reshape(mixed_direct.shape[:-4] + (n * n, n * n))
-    return S.reshape(S.shape[:-2] + (n, n))
-
-
-def q_terms(Ginv: np.ndarray, t_low: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four torsion quadratics from stacks of the lowered Chern torsion
-    ``t[..., i, j, k] = T_{i j k~}`` and the inverse metric.  With ``P[k, l]
-    = g^{k l~} = Ginv[l, k]``: ``Q1[i, j] = t[i, k, m] (P conj(t[j]) P)[k,
-    m]``, ``Q2[i, j] = (P (x) P conj(t))[k, m, i] t[k, m, j]``, ``Q3`` is the
-    outer product of ``tau = t[:, k, l] P[k, l]`` and ``sig = conj(t)[:, k,
-    l] Ginv[k, l]``, ``Q4`` averages ``(Ginv tau)[m] conj(t)[m, j, i]`` and
-    ``(sig Ginv)[m] t[m, i, j]``."""
+def q_terms(Ginv: np.ndarray, t_low: np.ndarray) -> np.ndarray:
+    """The four torsion quadratics as a (4, ..., n, n) array, from stacks of
+    the lowered Chern torsion ``t[..., i, j, k] = T_{i j k~}`` and the inverse
+    metric.  With ``P[k, l] = g^{k l~} = Ginv[l, k]``: ``Q1[i, j] = t[i, k,
+    m] (P conj(t[j]) P)[k, m]`` and ``Q2[i, j] = (P (x) P conj(t))[k, m, i]
+    t[k, m, j]``, as products with Kronecker matrices ``(A (x) B)[(k, n), (l,
+    m)] = A[k, l] B[n, m]``; ``Q3`` is the outer product of ``tau = t[:, k,
+    l] P[k, l]`` and ``sig = conj(t)[:, k, l] Ginv[k, l]``, ``Q4`` averages
+    ``(Ginv tau)[m] conj(t)[m, j, i]`` and ``(sig Ginv)[m] t[m, i, j]``."""
     n, lead, g_lead = Ginv.shape[-1], t_low.shape[:-3], Ginv.shape[:-2]
+    nn = n * n
     P = Ginv.swapaxes(-1, -2)
     tc = np.conj(t_low)
-    rows, rows_c = t_low.reshape(lead + (n, n * n)), tc.reshape(lead + (n, n * n))
-    sandwich = P[..., None, :, :] @ tc @ P[..., None, :, :]
-    q1 = rows @ sandwich.reshape(lead + (n, n * n)).swapaxes(-1, -2)
-    raised = (P[..., None, :, :] @ (P @ rows_c).reshape(lead + (n, n, n)))
-    q2 = raised.reshape(lead + (n * n, n)).swapaxes(-1, -2) @ t_low.reshape(lead + (n * n, n))
-    tau = rows @ P.reshape(g_lead + (n * n, 1))
-    sig = (rows_c @ Ginv.reshape(g_lead + (n * n, 1))).swapaxes(-1, -2)
-    first = ((Ginv @ tau).swapaxes(-1, -2) @ rows_c).reshape(lead + (n, n))
-    second = (sig @ Ginv @ rows).reshape(lead + (n, n))
-    return q1, q2, tau @ sig, 0.5 * (first.swapaxes(-1, -2) + second)
+    rows, rows_c = t_low.reshape(lead + (n, nn)), tc.reshape(lead + (n, nn))
+    PG = (P[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(g_lead + (nn, nn))
+    GG = (Ginv[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(g_lead + (nn, nn))
+    q = np.empty((4,) + lead + (n, n), dtype=complex)
+    np.matmul(rows @ PG, rows_c.swapaxes(-1, -2), out=q[0])
+    np.matmul(tc.reshape(lead + (nn, n)).swapaxes(-1, -2) @ GG,
+              t_low.reshape(lead + (nn, n)), out=q[1])
+    tau = rows @ P.reshape(g_lead + (nn, 1))
+    sig = (rows_c @ Ginv.reshape(g_lead + (nn, 1))).swapaxes(-1, -2)
+    np.matmul(tau, sig, out=q[2])
+    # Q4 from the halved inverse: a power of two scales every product exactly
+    half = 0.5 * Ginv
+    first = ((half @ tau).swapaxes(-1, -2) @ rows_c).reshape(lead + (n, n))
+    np.add(first.swapaxes(-1, -2), (sig @ half @ rows).reshape(lead + (n, n)), out=q[3])
+    return q
 
 
-#: ``x @ _FRAME_METRIC_MAP`` is the frame metric ``g[A, B]``, flattened, at the
-#: coordinates ``x``: row ``c`` holds the metric of the ``c``-th unit vector
-_FRAME_METRIC_MAP = np.array([
-    np.kron([[0, 1], [0, 0]], G) + np.kron([[0, 0], [1, 0]], G.T)
-    for G in (MetricCoefficients.from_array(e).hermitian_matrix() for e in np.eye(9))
-]).reshape(9, 36)
+def _inverse_rows(G: np.ndarray) -> np.ndarray:
+    """``inv`` of each block of the stack ``G``; NaN, which fails the row, for
+    a block singular to working precision at the rim of the cone."""
+    try:
+        return np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return np.array([_inverse_rows(B[None])[0] if len(G) > 1
+                         else np.full(B.shape, np.nan) for B in G])
 
 
-def _tangent_rows(f: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _tangent_rows(bracket: BracketTable, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Unsymmetrized ``-S + a Q1 + b Q2 + c Q3 + d Q4`` at each admissible row
     of the (R, 9) coordinate stack ``x``, with the (R, 4) rows ``coeffs``.
 
-    The Chern connection keeps the (1,0)-frame parallel, so only its
-    Christoffels ``gam[A, i, j]`` with holomorphic ``i, j`` enter.  They are
-    the lowered ``low[A, i, k~]`` raised by ``Ginv``, the nonzero block of
-    ``inv(g)`` there, and ``gam[A] @ G`` is ``low[A]`` again.
+    Only the Chern Christoffels ``gam[A, i, j] = low[A, i, k~] Ginv[k, j]``
+    with holomorphic ``i, j`` enter.  ``S = P[a, b] Omega[a, b~]`` is traced
+    before the mixed block ``Omega[a, b~] = gam[b~] low[a] - gam[a] low[b~] -
+    f[a, b~, E] low[E]`` is formed: ``gam[A] lift[A]`` over the frame, with
+    ``lift[a] = -P[a, b] low[b~]`` and ``lift[b~] = P[a, b] low[a]``, minus
+    ``Ginv[b, a] W[(b, a)]`` (see ``BracketTable.tangent_map``).
     """
-    R, n = len(x), 3
+    R, n, f = len(x), 3, bracket.f
     N, nn = 2 * n, n * n
-    g = (x @ _FRAME_METRIC_MAP).reshape(R, N, N)
-    G = g[:, :n, n:]
-    # the Chern correction -jd[A]/2 domega[A, B, C] of connection()
-    chern = _koszul_lowered(f, g) - 0.5 * _j_diagonal(n)[:, None, None] * d_omega(f, g, n)
-    low = np.ascontiguousarray(chern[:, :, :n, n:])
-    Ginv = np.linalg.inv(G)
-    gam = (low.reshape(R, N * n, n) @ Ginv).reshape(R, N, n, n)
-    gam_h, low_h = gam[:, :n], low[:, :n]
-    # Omega[a, b~, c, d~] = (gam[b~] low[a] - gam[a] low[b~]
-    #                        - f[a, b~, e] low[e])[c, d]
-    t1 = ((gam[:, n:].reshape(R, nn, n) @ low_h.swapaxes(1, 2).reshape(R, n, nn))
-          .reshape(R, n, n, n, n).transpose(0, 3, 1, 2, 4))
-    t2 = ((gam_h.reshape(R, nn, n) @ low[:, n:].swapaxes(1, 2).reshape(R, n, nn))
-          .reshape(R, n, n, n, n).transpose(0, 1, 3, 2, 4))
-    t3 = (f[:n, n:].reshape(nn, N) @ low.reshape(R, N, nn)).reshape(R, n, n, n, n)
-    S = second_ricci_trace(Ginv, t1 - t2 - t3)
+    blocks = x @ bracket.tangent_map
+    G = blocks[:, :nn].reshape(R, n, n)
+    Ginv = _inverse_rows(G)
+    # gam[A, c, e] at [c, (A, e)]
+    gam = (blocks[:, nn:7 * nn].reshape(R, N * n, n) @ Ginv).reshape(R, n, N, n)
+    sources = blocks[:, 7 * nn:13 * nn].reshape(R, 2, n, nn)
+    lift = np.concatenate([Ginv.swapaxes(1, 2) @ sources[:, 0], Ginv @ sources[:, 1]], axis=1)
+    S = (gam.reshape(R, n, N * n) @ lift.reshape(R, N * n, n)
+         - (Ginv.reshape(R, 1, nn) @ blocks[:, 13 * nn:].reshape(R, nn, nn)).reshape(R, n, n))
     # lowered (2,0) torsion T_{i j k~} = (gam[i, j, m] - gam[j, i, m] - f[i, j, m]) G[m, k]
-    torsion = gam_h - gam_h.swapaxes(1, 2) - f[:n, :n, :n]
+    gam_h = gam[:, :, :n]                       # gam[i, j, m] at [j, i, m]
+    torsion = gam_h.swapaxes(1, 2) - gam_h - f[:n, :n, :n]
     t_low = (torsion.reshape(R, nn, n) @ G).reshape(R, n, n, n)
-    q = np.stack(q_terms(Ginv, t_low), axis=1).reshape(R, 4, nn)
+    q = q_terms(Ginv, t_low).reshape(4, R, nn).swapaxes(0, 1)
     return (coeffs[:, None, :] @ q).reshape(R, n, n) - S
 
 
@@ -603,20 +629,22 @@ def hcf_tangent(eqs: ComplexStructureEquations,
         x, coeffs, ok = m.as_array()[None], np.array([fc.as_tuple()]), np.ones(1, bool)
     else:
         x, coeffs = np.asarray(m, dtype=float), np.asarray(fc, dtype=float)
-        ok = np.array([MetricCoefficients.from_array(r).is_admissible()
-                       for r in x.tolist()], dtype=bool)
-    K = np.zeros((len(x), eqs.n, eqs.n), dtype=complex)
-    if ok.any():
-        K[ok] = _tangent_rows(bracket.f, x[ok], coeffs[ok])
-    KH = K.conj().swapaxes(-1, -2)
+        ok = _admissible_rows(x)
+    # a row that overflows at the rim of the cone fails the finite test below
     with np.errstate(invalid="ignore", over="ignore"):
-        size, defect = (np.abs(a).reshape(len(x), -1).max(axis=1) for a in (K, K - KH))
+        if ok.all():
+            K = _tangent_rows(bracket, x, coeffs)
+        else:
+            K = np.zeros((len(x), eqs.n, eqs.n), dtype=complex)
+            K[ok] = _tangent_rows(bracket, x[ok], coeffs[ok])
+        KH = K.conj().swapaxes(1, 2)
+        size, defect = np.abs(K).max(axis=(1, 2)), np.abs(K - KH).max(axis=(1, 2))
     # zero_threshold(size, rtol=1e-8) row by row; a NaN row fails both tests
     ok &= np.isfinite(size) & (defect <= 1e-8 * (1.0 + size))
     if not single:
         return 0.5 * (K + KH), ok
     if not np.isfinite(size[0]):
-        raise MetricError("flow tangent overflowed")
+        raise MetricError("flow tangent is not finite")
     if not ok[0]:
         raise FlowDegenerationError(f"flow tangent lost Hermitian symmetry ({defect[0]:.2e})")
     return 0.5 * (K[0] + KH[0])
@@ -626,11 +654,14 @@ def _coefficient_rates(K: np.ndarray) -> np.ndarray:
     """Map ``d/dt g(Z_i, conj Z_j) = K[i, j]`` to the coefficient chart, for
     one (3, 3) matrix or a (..., 3, 3) stack: ``2 Re K[i, i]``, then ``2i
     K[i, j]`` for u, v and z."""
-    rates = np.empty(K.shape[:-2] + (9,))
-    rates[..., :3] = 2 * K[..., [0, 1, 2], [0, 1, 2]].real
-    off = 2j * K[..., [0, 1, 0], [1, 2, 2]]
-    rates[..., 3::2], rates[..., 4::2] = off.real, off.imag
-    return rates
+    picked = K.reshape(K.shape[:-2] + (9,)).take(_RATE_ENTRIES, axis=-1) * _RATE_SCALE
+    return picked.view(float).take(_RATE_PARTS, axis=-1)
+
+
+#: entries 00, 11, 22, 01, 12, 02 of a flattened 3 x 3 matrix, their factors,
+#: and the real and imaginary parts kept (all but the imaginary diagonal)
+_RATE_ENTRIES, _RATE_SCALE = np.array([0, 4, 8, 1, 5, 2]), np.array([2, 2, 2, 2j, 2j, 2j])
+_RATE_PARTS = np.array([0, 2, 4, 6, 7, 8, 9, 10, 11])
 
 
 # Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6
@@ -688,14 +719,14 @@ def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
     x = np.array(x0, dtype=float)
     k = np.empty((len(x), 7, x.shape[1]))
     out: list[list[np.ndarray]] = [[] for _ in x]
+    evals = np.zeros(len(x), dtype=int)
     for st in stats:
         st.t = t_start
 
     def rates(rows: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # looked up in the module on every call, where the tracer wraps it
         K, ok = hcf_tangent(eqs, states, coeffs[rows], bracket=bracket)
-        for r in rows:
-            stats[r].tangent_evals += 1
+        evals[rows] += 1
         return _coefficient_rates(K), ok
 
     opening, active = list(range(len(x))), []
@@ -712,13 +743,15 @@ def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
         landing = [stats[r].t + stats[r].step >= ts for r, ts in zip(active, t_stop)]
         h = np.array([ts - stats[r].t if land else stats[r].step
                       for r, ts, land in zip(active, t_stop, landing)])
-        xs, ks, alive = x[rows], k[rows], np.arange(len(rows))
+        # the rows still in the step: all of them (a slice) until a stage fails
+        xs, ks, alive = x[rows], k[rows], slice(None)
         for i in range(1, 7):
             x_new = xs[alive] + h[alive, None] * (_DP_A[i, :i] @ ks[alive, :i])
             ks[alive, i], ok = rates(rows[alive], x_new)
-            alive, x_new = alive[ok], x_new[ok]
-            if not alive.size:
-                break
+            if not ok.all():
+                alive, x_new = np.arange(len(rows))[alive][ok], x_new[ok]
+                if not alive.size:
+                    break
         err = np.full(len(rows), np.nan)            # NaN: a stage failed
         scale = FLOW_ATOL + FLOW_RTOL * np.maximum(np.abs(xs[alive]), np.abs(x_new))
         err[alive] = np.sqrt(np.mean((h[alive, None] * (_DP_E @ ks[alive]) / scale) ** 2,
@@ -752,6 +785,8 @@ def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
             if len(out[r]) < len(records):
                 opening.append(r)
         active = still
+    for st, e in zip(stats, evals.tolist()):
+        st.tangent_evals += e
     return out
 
 

@@ -104,9 +104,15 @@ def _partial_matrix(blocks: np.ndarray, vecs: np.ndarray, frozen: str,
     return (0.5 * (A + AH)).swapaxes(-1, -2)
 
 
-def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
+def _random_starts(seed: int, starts: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``starts`` random unit start pairs as two (starts, n) stacks (xi, nu),
+    drawn per start as re xi, im xi, re nu, im nu, and normalized as
+    ``np.linalg.norm`` does, by dot products of the strided parts."""
+    draws = np.random.default_rng(seed).normal(size=(starts, 2, 2, n))
+    v = draws[:, :, 0] + 1j * draws[:, :, 1]
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    units = v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    return units[:, 0], units[:, 1]
 
 
 def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +254,7 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
                                               (zero, zero), rtol * magnitude,
                                               magnitude, True))
             continue
-        rng = np.random.default_rng(q_seed)
-        pairs = [(_random_unit(rng, n), _random_unit(rng, n)) for _ in range(starts)]
-        live.append((len(results), block, magnitude, *(np.array(v) for v in zip(*pairs))))
+        live.append((len(results), block, magnitude, *_random_starts(q_seed, starts, n)))
         results.append(None)
     if not live:
         return results

@@ -1,14 +1,18 @@
 """Reference implementations kept for the tests only.
 
 * The einsum flow tangent (``hcf_tangent``, ``q_terms``,
-  ``second_ricci_trace``), the one-flow-at-a-time Dormand-Prince integrator and
-  the per-flow ``flow_preservation_check`` that the stacked matmul engine
-  replaced.  The stacked engine must agree with them to round-off and give
-  the same reports.
+  ``second_ricci_trace``), the matmul trace over a formed mixed block
+  (``stacked_second_ricci_trace``), the one-flow-at-a-time Dormand-Prince
+  integrator and the per-flow ``flow_preservation_check`` that the stacked
+  matmul engine replaced.  The stacked engine must agree with them to
+  round-off and give the same reports.
 * The per-metric Bismut curvature and pure-type check, and the per-sample
   ``classify_case`` loop, that the stacked scan and the batched sign
   classification replaced.  The stacked path must reproduce them bit for
   bit and give the same table3 bytes.
+* The per-start draw of ``classify``'s random start pairs
+  (``random_unit``), which ``positivity._random_starts`` batches; the batch
+  must reproduce it bit for bit.
 * Helpers that only the tests use: the invariant exterior derivative and
   the pluriclosed predicate built on it, the Bismut-Chern comparison
   identity, the conjugation symmetry of a bracket table, the full Chern
@@ -78,6 +82,16 @@ def chern_torsion(conn: ConnectionCoefficients, bracket: BracketTable) -> Torsio
 
 def second_ricci_trace(Ginv: np.ndarray, mixed_direct: np.ndarray) -> np.ndarray:
     return np.einsum("lk,klij->ij", Ginv, mixed_direct)
+
+
+def stacked_second_ricci_trace(Ginv: np.ndarray, mixed_direct: np.ndarray) -> np.ndarray:
+    """``S[i, j] = g^{k l~} Omega[k, l~, i, j~]`` traced over the curvature
+    plane, for (..., n, n) stacks of ``Ginv`` and (..., n, n, n, n) blocks:
+    the matmul trace of the stacked tangent that formed the mixed block."""
+    n = Ginv.shape[-1]
+    w = Ginv.swapaxes(-1, -2).reshape(Ginv.shape[:-2] + (1, n * n))
+    S = w @ mixed_direct.reshape(mixed_direct.shape[:-4] + (n * n, n * n))
+    return S.reshape(S.shape[:-2] + (n, n))
 
 
 def q_terms(Ginv: np.ndarray, t_low: np.ndarray):
@@ -358,6 +372,23 @@ def regenerate_table3(samples_per_family: int, seed: int) -> Table3Result:
     rng = np.random.default_rng(seed)
     rows = [classify_case(case, samples_per_family, rng) for case in CASES]
     return Table3Result(rows=rows, samples=samples_per_family, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the per-start draw of classify's random starts
+# ---------------------------------------------------------------------------
+
+def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def random_starts(seed: int, starts: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xi, nu) start stacks drawn one unit vector at a time."""
+    rng = np.random.default_rng(seed)
+    pairs = [(random_unit(rng, n), random_unit(rng, n)) for _ in range(starts)]
+    xi, nu = (np.array(v) for v in zip(*pairs))
+    return xi, nu
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,14 @@ def test_invalid_metric_exits_2(capsys):
     assert code == 2 and "real" in err
 
 
+def test_huge_metric_coefficient_exits_2(capsys):
+    # |u|^2 overflows a double: the cone test reports it instead of raising
+    code, out, err = run(capsys, "cplx", "--family", "Np", "--params", "rho=1",
+                         "--metric", "u=1e200")
+    assert code == 2 and out == ""
+    assert err == "error: r2*s2 > |u|^2 fails: 1.0 <= inf\n"
+
+
 def test_flow_json_format(capsys, tmp_path):
     out_file = tmp_path / "traj.json"
     code, out, _ = run(capsys, "flow", "--name", "pluriclosed", "--n", "2",

@@ -7,10 +7,11 @@ import pytest
 
 from hermflow import hopf
 from hermflow.flows import FlowCoefficients, named_flow, ode_rhs
-from hermflow.invariant import check_cplx, q_terms, second_ricci_trace
+from hermflow.invariant import check_cplx, q_terms
 from hermflow.positivity import classify
 from tests.conftest import random_point
-from tests.reference import chern_curvature_lowered, inverse_metric_at
+from tests.reference import (chern_curvature_lowered, inverse_metric_at,
+                             stacked_second_ricci_trace)
 
 
 def random_hopf(rng, n=None):
@@ -215,7 +216,7 @@ def test_trace2_equals_inverse_metric_trace_of_curvature(rng):
         data = hopf.chern_data_at(h, z)
         lowered = chern_curvature_lowered(h, z)
         Ginv = np.linalg.inv(hopf.metric_at(h, z))
-        S = second_ricci_trace(Ginv, lowered)
+        S = stacked_second_ricci_trace(Ginv, lowered)
         assert np.max(np.abs(S - data.trace2)) < 1e-10
 
 

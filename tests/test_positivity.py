@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from hermflow import hopf
+from hermflow import hopf, positivity
 from hermflow.catalog import CASES, _sample_slice, bismut_curvature, instantiate
 from hermflow.invariant import MetricCoefficients
 from hermflow.positivity import (MAX_ALTERNATIONS, VERDICT_RTOL,
                                  CplxViolationError, Verdict, _alternate,
-                                 _partial_matrix, _random_unit,
-                                 _spectral_starts, biquadratic, classify,
-                                 gamma_threshold)
+                                 _partial_matrix, _random_starts, _spectral_starts,
+                                 biquadratic, classify, gamma_threshold)
+from tests import reference
 from tests.conftest import random_point
+from tests.reference import random_unit
 
 
 def test_gamma_threshold_values():
@@ -53,7 +54,7 @@ def test_nonnegative_hopf_with_min_on_radial_direction(rng):
     # the zero minimum is attained along the radial direction
     block = hopf.bismut_mixed_block(h, z)
     radial = z / np.linalg.norm(z)
-    nu = _random_unit(rng, 3)
+    nu = random_unit(rng, 3)
     assert biquadratic(block, radial, nu) == pytest.approx(0.0, abs=1e-12)
     assert biquadratic(block, nu, radial) == pytest.approx(0.0, abs=1e-12)
 
@@ -67,8 +68,8 @@ def test_refuses_without_pure_type_vanishing(unit_metric):
 def test_partial_matrices_are_hermitian_forms(rng):
     h = hopf.HopfMetric(3, 1.0, 0.8)
     block = hopf.bismut_mixed_block(h, random_point(rng, 3))
-    nus = np.array([_random_unit(rng, 3) for _ in range(10)])
-    xis = np.array([_random_unit(rng, 3) for _ in range(10)])
+    nus = np.array([random_unit(rng, 3) for _ in range(10)])
+    xis = np.array([random_unit(rng, 3) for _ in range(10)])
     rows = np.broadcast_to(block, (10,) + block.shape)
     size = np.max(np.abs(block))
     A = _partial_matrix(rows, nus, "nu", size)
@@ -88,7 +89,7 @@ def test_alternating_iteration_monotone_and_certified(rng):
     eqs = instantiate("Np", rho=1)
     omega = bismut_curvature(eqs, MetricCoefficients(1.2, 0.9, 1.1, u=0.1))
     block = omega.mixed_block()
-    pairs = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(10)]
+    pairs = [(random_unit(rng, 3), random_unit(rng, 3)) for _ in range(10)]
     xi0, nu0 = (np.array(v) for v in zip(*pairs))
     vals, xis, nus, ok = _alternate(block[None], np.zeros(10, dtype=int),
                                     xi0, nu0, minimize=np.ones(10, dtype=bool))
@@ -218,7 +219,7 @@ def _scalar_classify(block, starts, seed):
     min_wit = max_wit = None
     stationary = True
     for _ in range(starts):
-        xi0, nu0 = _random_unit(rng, n), _random_unit(rng, n)
+        xi0, nu0 = random_unit(rng, n), random_unit(rng, n)
         val, xi, nu, ok = _scalar_alternate(block, xi0, nu0, minimize=True)
         stationary &= ok
         if val < best_min:
@@ -283,7 +284,7 @@ def test_spectral_starts_reach_a_product_minimum(rng):
     # bottom eigenvector of M and of its partial transpose is that product
     # vector, so both minimizing spectral starts sit on it already
     n = 3
-    a, b = _random_unit(rng, n), _random_unit(rng, n)
+    a, b = random_unit(rng, n), random_unit(rng, n)
     block = -np.einsum("i,j,k,l->ijkl", a.conj(), a, b.conj(), b)
     xis, nus = _spectral_starts(block)
     assert xis.shape == nus.shape == (4, n)
@@ -291,3 +292,43 @@ def test_spectral_starts_reach_a_product_minimum(rng):
     assert np.allclose(np.linalg.norm(nus, axis=1), 1.0)
     for xi, nu in zip(xis[:2], nus[:2]):
         assert biquadratic(block, xi, nu) == pytest.approx(-1.0, abs=1e-12)
+
+
+# --- the batched random starts against the per-start draw ------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_starts_equal_the_per_start_draw(n):
+    for seed in range(200):
+        for starts in (1, 8, 64):
+            xi, nu = _random_starts(seed, starts, n)
+            want_xi, want_nu = reference.random_starts(seed, starts, n)
+            assert np.array_equal(xi, want_xi) and np.array_equal(nu, want_nu), (seed, starts)
+
+
+def _assert_same_with_per_start_draw(monkeypatch, blocks, starts, seeds):
+    got = classify(blocks, starts, seeds)
+    with monkeypatch.context() as patched:
+        patched.setattr(positivity, "_random_starts", reference.random_starts)
+        want = classify(blocks, starts, seeds)
+    for a, b in zip(got, want):
+        assert (a.verdict, a.min_value, a.max_value, a.stationary, a.tolerance,
+                a.magnitude) == (b.verdict, b.min_value, b.max_value, b.stationary,
+                                 b.tolerance, b.magnitude)
+        for x, y in zip(a.min_witness + a.max_witness, b.min_witness + b.max_witness):
+            assert np.array_equal(x, y)
+
+
+def test_classify_equals_the_per_start_draw_on_table3_sign_samples(monkeypatch):
+    rng = np.random.default_rng(5)
+    for case in (c for c in CASES if c.expected_verdict):
+        eqs = instantiate(case.family, **case.params)
+        omegas = bismut_curvature(eqs, [_sample_slice(rng, case.sign_slice) for _ in range(4)])
+        seeds = [int(rng.integers(0, 2 ** 31)) for _ in omegas]
+        _assert_same_with_per_start_draw(monkeypatch, omegas, 64, seeds)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_equals_the_per_start_draw_on_hopf(n, monkeypatch, rng):
+    blocks = [hopf.bismut_mixed_block(hopf.HopfMetric(n, 1.0, gamma), random_point(rng, n))
+              for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)]
+    _assert_same_with_per_start_draw(monkeypatch, blocks, 64, list(range(len(blocks))))
