@@ -24,7 +24,7 @@ import numpy as np
 from .flows import NAMED_FLOWS, FlowCoefficients
 from .invariant import (BracketTable, ComplexStructureEquations,
                         ConnectionKind, MetricCoefficients, check_cplx,
-                        connection, curvature, dualize, frame_metric,
+                        connection, curvature, frame_metric,
                         integrate_invariant_flows, metric_inverse_block,
                         sample_admissible_metric)
 from .positivity import classify
@@ -223,7 +223,7 @@ def instantiate(family_id: str, **params) -> ComplexStructureEquations:
         raise CatalogError(f"unknown family {family_id!r}; known: "
                            f"{sorted(FAMILIES)}") from None
     eqs = spec.builder(**params)
-    dualize(eqs)  # validates integrability; raises IntegrabilityError
+    eqs.bracket  # dualize validates integrability; raises IntegrabilityError
     return eqs
 
 
@@ -383,20 +383,19 @@ def bismut_curvature(eqs: ComplexStructureEquations,
                      ) -> CurvatureTensor | list[CurvatureTensor]:
     """Convenience: Bismut curvature of an invariant structure.  A list of
     metrics gives the list of their curvatures, computed as one stack."""
-    if bracket is None:
-        bracket = dualize(eqs)
+    bracket = eqs.bracket if bracket is None else bracket
     single = isinstance(m, MetricCoefficients)
     g = np.stack([frame_metric(x) for x in ([m] if single else m)])
     omegas = curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
     return omegas[0] if single else omegas
 
 
-def _chunked_curvatures(eqs: ComplexStructureEquations, bracket: BracketTable,
+def _chunked_curvatures(eqs: ComplexStructureEquations,
                         metrics: list[MetricCoefficients]):
     """The Bismut curvatures of ``metrics`` in order, one list per stack of
     ``SCAN_CHUNK`` metrics."""
     for start in range(0, len(metrics), SCAN_CHUNK):
-        yield bismut_curvature(eqs, metrics[start:start + SCAN_CHUNK], bracket)
+        yield bismut_curvature(eqs, metrics[start:start + SCAN_CHUNK])
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +575,11 @@ def classify_case(case: ClassificationCase,
     classified in one batch.
     """
     eqs = instantiate(case.family, **case.params)
-    bracket = dualize(eqs)
     detail: dict = {}
 
     def scan(metrics: list[MetricCoefficients]):
         """(pure-type vanishing holds, curvature) per metric."""
-        for omegas in _chunked_curvatures(eqs, bracket, metrics):
+        for omegas in _chunked_curvatures(eqs, metrics):
             for omega, report in zip(omegas, check_cplx(omegas)):
                 yield report.satisfied, omega
 
@@ -625,7 +623,7 @@ def classify_case(case: ClassificationCase,
         for _ in range(sign_samples):
             metrics.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
-        omegas = list(chain.from_iterable(_chunked_curvatures(eqs, bracket, metrics)))
+        omegas = list(chain.from_iterable(_chunked_curvatures(eqs, metrics)))
         verdicts = {r.verdict.value for r in classify(omegas, starts=starts, seed=seeds)}
         for m, omega in zip(metrics, omegas):
             witnesses.extend(_witnesses(case, m, omega))
@@ -775,7 +773,6 @@ def flow_preservation_check(case_key: str,
     if case.expected_verdict is None:
         raise CatalogError(f"case {case_key} has no classified slice to track")
     eqs = instantiate(case.family, **case.params)
-    bracket = dualize(eqs)
     rng = np.random.default_rng(seed)
     m0 = _sample_slice(rng, case.sign_slice)
 
@@ -790,11 +787,11 @@ def flow_preservation_check(case_key: str,
     slice_drift = 0.0
     flat_drift: float | None = 0.0 if case.expected_verdict == "flat" else None
     results = integrate_invariant_flows(eqs, m0, flows, t_end=t_end, dt=dt,
-                                        bracket=bracket, checkpoints=checkpoints)
+                                        checkpoints=checkpoints)
     # the checkpoint seeds are drawn flow by flow, record by record, and all
     # checkpoints of the case are classified in one batch
     metrics = [m for result in results for m in result.metrics]
-    omegas = chain.from_iterable(_chunked_curvatures(eqs, bracket, metrics))
+    omegas = chain.from_iterable(_chunked_curvatures(eqs, metrics))
     tensors, seeds, owners = [], [], []
     for label, result in zip(labels, results):
         for m in result.metrics:

@@ -142,6 +142,11 @@ class ComplexStructureEquations:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
+    @functools.cached_property
+    def bracket(self) -> "BracketTable":
+        """The validated ``dualize`` table, built on first use and kept."""
+        return dualize(self)
+
 
 @dataclass(frozen=True)
 class BracketTable:
@@ -375,16 +380,17 @@ class ConnectionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """``grad_{e_A} e_B = gamma[A, B, C] e_C`` over the complexified frame;
-    ``gamma[..., A, B, C]`` and ``g[..., A, B]`` for a stack of metrics."""
+    """``grad_{e_A} e_B = gamma[A, B, C] e_C = lowered[A, B, D] inv(g)[D, C]``
+    over the complexified frame; ``[..., A, B, C]`` for a stack of metrics."""
 
     kind: ConnectionKind
     n: int
     gamma: np.ndarray
     g: np.ndarray = field(repr=False)
+    lowered: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "g"):
+        for name in ("gamma", "g", "lowered"):
             arr = np.asarray(getattr(self, name), dtype=complex).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -396,8 +402,8 @@ def _j_diagonal(n: int) -> np.ndarray:
 
 def _koszul_lowered(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``K[A,B,C] = g(grad^{LC}_{e_A} e_B, e_C)`` for invariant fields, on a
-    stack of metrics ``g[..., A, B]``."""
-    gb = np.einsum("abe,...ec->...abc", f, g)
+    stack of metrics ``g[..., A, B]``, from the product ``f[(a, b), e] g[e, c]``."""
+    gb = (f.reshape(-1, len(f)) @ g).reshape(g.shape[:-2] + f.shape)
     # gb[..., b, c, a] and gb[..., c, a, b] reordered to [..., a, b, c]
     return 0.5 * (gb - gb.swapaxes(-1, -2).swapaxes(-2, -3)
                   + gb.swapaxes(-3, -2).swapaxes(-2, -1))
@@ -406,9 +412,7 @@ def _koszul_lowered(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def d_omega(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """Exterior derivative of the invariant 2-form ``omega(X, Y) = g(JX, Y)``,
     on a stack of metrics ``g[..., A, B]``."""
-    jd = _j_diagonal(n)
-    w = jd[:, None] * g
-    wb = np.einsum("abe,...ec->...abc", f, w)
+    wb = (f.reshape(-1, len(f)) @ (_j_diagonal(n)[:, None] * g)).reshape(g.shape[:-2] + f.shape)
     return -wb + wb.swapaxes(-1, -2) - wb.swapaxes(-1, -2).swapaxes(-2, -3)
 
 
@@ -427,19 +431,17 @@ def connection(kind: ConnectionKind,
     ``g`` is one frame metric or a stack ``g[..., A, B]`` of them; the
     coefficients then carry the same leading axes.
     """
-    n = bracket.n
-    f = bracket.f
+    n, f, lead = bracket.n, bracket.f, g.shape[:-2]
     lowered = _koszul_lowered(f, g)
     if kind is not ConnectionKind.LEVI_CIVITA:
         dw = d_omega(f, g, n)
         jd = _j_diagonal(n)
         if kind is ConnectionKind.BISMUT:
-            lowered = lowered + 0.5 * np.einsum("a,b,c,...abc->...abc", jd, jd, jd, dw)
+            lowered = lowered + 0.5 * (jd[:, None, None] * jd[:, None] * jd) * dw
         else:
-            lowered = lowered - 0.5 * np.einsum("a,...abc->...abc", jd, dw)
-    ginv = np.linalg.inv(g)
-    gamma = np.einsum("...abd,...dc->...abc", lowered, ginv)
-    return ConnectionCoefficients(kind=kind, n=n, gamma=gamma, g=g)
+            lowered = lowered - 0.5 * jd[:, None, None] * dw
+    gamma = lowered.reshape(lead + (4 * n * n, 2 * n)) @ np.linalg.inv(g)
+    return ConnectionCoefficients(kind, n, gamma.reshape(lowered.shape), g, lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +452,24 @@ def curvature(conn: ConnectionCoefficients, bracket: BracketTable
               ) -> CurvatureTensor | list[CurvatureTensor]:
     """Lowered curvature of an invariant connection.
 
-    Components are reported with the calibrated sign
-    ``CURVATURE_COMPONENT_SIGN * g(R(e_A, e_B) e_C, e_D)``.  A connection
-    over a stack of metrics gives the list of their curvatures, computed as
-    one stack.
+    Components are ``CURVATURE_COMPONENT_SIGN * g(R(e_A, e_B) e_C, e_D)``
+    with ``R(X, Y) = [grad_X, grad_Y] - grad_[X,Y]``, which is ``T[B, C, A,
+    D] - T[A, C, B, D] - f[A, B, E] L[E, C, D]`` in the lowered coefficients
+    ``L``, with the product ``T[(B, C), (A, D)] = gamma[(B, C), E] L[A, E,
+    D]``.  A connection over a stack of metrics gives the list of their
+    curvatures, computed as one stack.
     """
-    direct = CURVATURE_COMPONENT_SIGN * _direct_lowered_curvature(conn.gamma, bracket.f,
-                                                                  conn.g)
+    N, lead = 2 * conn.n, conn.gamma.shape[:-3]
+    # signed on the small factor, formed in place: fresh (2n)^4 temporaries page-fault
+    low = CURVATURE_COMPONENT_SIGN * conn.lowered
+    T = (conn.gamma.reshape(lead + (N * N, N))
+         @ low.swapaxes(-3, -2).reshape(lead + (N, N * N))).reshape(lead + (N,) * 4)
+    direct = (bracket.f.reshape(N * N, N) @ low.reshape(lead + (N, N * N))).reshape(T.shape)
+    np.subtract(np.moveaxis(T, -2, -4), direct, out=direct)
+    direct -= T.swapaxes(-3, -2)
     tensors = [CurvatureTensor(n=conn.n, connection=conn.kind.value, data=d)
                for d in direct.reshape((-1,) + direct.shape[-4:])]
     return tensors if conn.gamma.ndim > 3 else tensors[0]
-
-
-def _direct_lowered_curvature(gamma: np.ndarray, f: np.ndarray, g: np.ndarray,
-                              A: slice = slice(None), B: slice = slice(None),
-                              C: slice = slice(None), D: slice = slice(None)
-                              ) -> np.ndarray:
-    """``g(R(e_A, e_B) e_C, e_D)`` with ``R(X,Y) = [grad_X, grad_Y] - grad_[X,Y]``,
-    restricted to the frame blocks ``A, B, C, D`` (the whole frame by
-    default), for one connection or a stack ``gamma[..., A, B, C]``."""
-    action = (np.einsum("...bce,...aef->...abcf", gamma[..., B, C, :], gamma[..., A, :, :])
-              - np.einsum("...ace,...bef->...abcf", gamma[..., A, C, :], gamma[..., B, :, :])
-              - np.einsum("abe,...ecf->...abcf", f[A, B], gamma[..., C, :]))
-    return np.einsum("...abcf,...fd->...abcd", action, g[..., D])
 
 
 @dataclass(frozen=True)
@@ -481,6 +478,11 @@ class CplxReport:
     max_violation: float
     witness: tuple[FrameIndex, ...] | None
     tolerance: float
+
+    @property
+    def margin(self) -> float:
+        """``max_violation / tolerance``: at most 1 exactly when satisfied."""
+        return self.max_violation / self.tolerance
 
 
 @functools.cache
@@ -501,10 +503,11 @@ def check_cplx(omega: CurvatureTensor | Sequence[CurvatureTensor]
     """Check that every component with a pure-type index pair vanishes.
 
     A pair is pure when both slots are holomorphic or both antiholomorphic;
-    the first and the second pair of the curvature are examined, and the
-    witness is the first largest violation in the order of
-    ``_pure_type_offsets``.  A list of tensors of one n gives the list of
-    their reports, computed as one stack.
+    the first and the second pair of the curvature are examined.  The
+    witness is the first component in the order of ``_pure_type_offsets``
+    within 1e-12 relative of the largest violation, so that rounding does
+    not choose between equal partners such as ``Z2 Z3 Z1 Z2~`` and ``Z2 Z3
+    Z2~ Z1``.  A list of tensors of one n gives the list of their reports.
     """
     single = isinstance(omega, CurvatureTensor)
     tensors = [omega] if single else list(omega)
@@ -512,9 +515,11 @@ def check_cplx(omega: CurvatureTensor | Sequence[CurvatureTensor]
     moduli = np.abs(np.stack([t.data for t in tensors])).reshape(len(tensors), -1)
     offsets = _pure_type_offsets(n)
     pure = moduli[:, offsets]
+    worst = pure.max(axis=1)
+    first = np.argmax(pure >= (1.0 - 1e-12) * worst[:, None], axis=1)
     reports = []
-    for violation, magnitude, at in zip(pure.max(axis=1).tolist(), moduli.max(axis=1).tolist(),
-                                        offsets[pure.argmax(axis=1)].tolist()):
+    for violation, magnitude, at in zip(worst.tolist(), moduli.max(axis=1).tolist(),
+                                        offsets[first].tolist()):
         tol = zero_threshold(magnitude)
         satisfied = violation <= tol
         witness = None if satisfied else tuple(
@@ -621,8 +626,7 @@ def hcf_tangent(eqs: ComplexStructureEquations,
     (R, 4) array of (a, b, c, d) rows gives the (R, 3, 3) stack and the mask
     of the rows that pass those tests, raising nothing.
     """
-    if bracket is None:
-        bracket = dualize(eqs)
+    bracket = eqs.bracket if bracket is None else bracket
     single = isinstance(m, MetricCoefficients)
     if single:
         m.validate()
@@ -806,8 +810,7 @@ def invariant_flow_step(eqs: ComplexStructureEquations,
     check_finite(dt=dt, t_now=t_now)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if bracket is None:
-        bracket = dualize(eqs)
+    bracket = eqs.bracket if bracket is None else bracket
     if stats is None:
         stats = FlowStepStats(step=dt)
     m.validate()
@@ -851,8 +854,7 @@ def integrate_invariant_flows(eqs: ComplexStructureEquations,
         raise ValueError("t_end and dt must be positive")
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
-    if bracket is None:
-        bracket = dualize(eqs)
+    bracket = eqs.bracket if bracket is None else bracket
     m0.validate()
     stats = [FlowStepStats(step=dt) for _ in fcs]
     records = [t_end * j / checkpoints for j in range(1, checkpoints + 1)]

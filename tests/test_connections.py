@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from hermflow.catalog import CASES, bismut_curvature, instantiate
-from hermflow.invariant import (ConnectionKind, MetricCoefficients,
-                                _direct_lowered_curvature, connection,
+from hermflow.invariant import (ConnectionKind, MetricCoefficients, connection,
                                 curvature, dualize, frame_metric, hcf_tangent,
                                 sample_admissible_metric)
 from hermflow.flows import FlowCoefficients, named_flow
-from tests.reference import (bismut_chern_comparison_defect, chern_torsion,
+from tests.reference import (_direct_lowered_curvature,
+                             bismut_chern_comparison_defect, chern_torsion,
                              pluriclosed_residual, torsion_components)
 
 FAMILY_POINTS = [(case.family, case.params) for case in CASES]
