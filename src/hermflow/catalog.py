@@ -22,10 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .flows import NAMED_FLOWS, FlowCoefficients
-from .invariant import (BracketTable, ComplexStructureEquations,
-                        ConnectionKind, MetricCoefficients, check_cplx,
-                        connection, curvature, frame_metric,
-                        integrate_invariant_flows, metric_inverse_block,
+from .invariant import (ComplexStructureEquations, ConnectionKind,
+                        MetricCoefficients, check_cplx, connection, curvature,
+                        frame_metric, integrate_invariant_flows,
                         sample_admissible_metric)
 from .positivity import classify
 from .tensors import CurvatureTensor
@@ -378,12 +377,11 @@ def _sample_off_slice(rng: np.random.Generator, slice_spec: dict
 
 
 def bismut_curvature(eqs: ComplexStructureEquations,
-                     m: MetricCoefficients | list[MetricCoefficients],
-                     bracket: BracketTable | None = None
+                     m: MetricCoefficients | list[MetricCoefficients]
                      ) -> CurvatureTensor | list[CurvatureTensor]:
     """Convenience: Bismut curvature of an invariant structure.  A list of
     metrics gives the list of their curvatures, computed as one stack."""
-    bracket = eqs.bracket if bracket is None else bracket
+    bracket = eqs.bracket
     single = isinstance(m, MetricCoefficients)
     g = np.stack([frame_metric(x) for x in ([m] if single else m)])
     omegas = curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
@@ -410,8 +408,8 @@ class WitnessResult:
     ok: bool
 
 
-def _close(a: complex, b: complex, scale: float = 1.0) -> bool:
-    return abs(a - b) <= WITNESS_RTOL * (1.0 + abs(b) + scale)
+def _close(a: complex, b: complex) -> bool:
+    return abs(a - b) <= WITNESS_RTOL * (2.0 + abs(b))
 
 
 def _witnesses(case: ClassificationCase, m: MetricCoefficients,
@@ -434,7 +432,7 @@ def _witnesses(case: ClassificationCase, m: MetricCoefficients,
         add("h2 determinant", det3,
             -m.t2 ** 4 * abs(m.u) ** 2 / (m.s2 - abs(m.u) ** 2) ** 2)
     elif case.key == "Ni/h4":
-        Ginv = metric_inverse_block(m.hermitian_matrix())
+        Ginv = np.linalg.inv(m.hermitian_matrix())
         ric2 = np.einsum("lk,klij->ij", Ginv, omega.mixed_block())
         det2 = ric2[0, 0] * ric2[1, 1] - ric2[0, 1] * ric2[1, 0]
         out.append(WitnessResult("Ric2 determinant negativity", complex(det2),

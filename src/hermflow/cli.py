@@ -12,6 +12,7 @@ invalid input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -30,13 +31,24 @@ class CliError(ValueError):
     pass
 
 
+def _finite(value, text: str):
+    if not cmath.isfinite(value):
+        raise CliError(f"number {text.strip()!r} must be finite")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """Numbers in ``re+imi`` form: ``0.5-0.25i``, ``i``, ``-2i``, ``1.5``."""
-    cleaned = text.strip().replace("I", "j").replace("i", "j")
+    """Numbers in ``re+imi`` form: ``0.5-0.25i``, ``i``, ``-2i``, ``1.5``.
+    A real number is read first, so that ``inf`` and ``nan`` are refused as
+    non-finite rather than read with an imaginary unit."""
     try:
-        return complex(cleaned)
+        value = complex(float(text))
     except ValueError:
-        raise CliError(f"cannot parse complex number {text!r}") from None
+        try:
+            value = complex(text.strip().replace("I", "j").replace("i", "j"))
+        except ValueError:
+            raise CliError(f"cannot parse complex number {text!r}") from None
+    return _finite(value, text)
 
 
 def parse_vector(text: str, n: int) -> np.ndarray:
@@ -62,10 +74,10 @@ def _parse_value(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    return parse_complex(text)
+        return parse_complex(text)
+    return _finite(value, text)
 
 
 def parse_assignments(text: str | None) -> dict:
@@ -159,7 +171,7 @@ def cmd_hopf(args) -> int:
     if args.xi is not None:
         xi = parse_vector(args.xi, args.n)
         nu = parse_vector(args.nu, args.n)
-        doc["bisectional"] = hopf.bisectional(h, z, xi, nu).value
+        doc["bisectional"] = hopf.bisectional(h, z, xi, nu)
     exit_code = 0
     if args.verify:
         field = oracle.PointMetricField(

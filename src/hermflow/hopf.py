@@ -42,6 +42,9 @@ class HopfMetric:
         if not self.beta > -self.alpha:
             raise ValueError(
                 f"beta > -alpha fails: beta={self.beta!r}, alpha={self.alpha!r}")
+        if not np.isfinite([self.alpha, self.beta]).all():
+            raise ValueError(
+                f"alpha and beta must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
 
     @property
     def gamma(self) -> float:
@@ -164,16 +167,7 @@ def bismut_curvature_at(h: HopfMetric, z: np.ndarray) -> CurvatureTensor:
     return curvature_from_mixed_block(bismut_mixed_block(h, z), h.n, "bismut")
 
 
-@dataclass(frozen=True)
-class BisectionalValue:
-    value: float
-    point: np.ndarray
-    xi: np.ndarray
-    nu: np.ndarray
-
-
-def bisectional(h: HopfMetric, z: np.ndarray, xi: np.ndarray, nu: np.ndarray
-                ) -> BisectionalValue:
+def bisectional(h: HopfMetric, z: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> float:
     """``Omega^B(xi, conj xi, nu, conj nu)`` at ``z``; always real."""
     z = _check_point(h, z)
     xi = np.asarray(xi, dtype=complex).reshape(-1)
@@ -184,7 +178,7 @@ def bisectional(h: HopfMetric, z: np.ndarray, xi: np.ndarray, nu: np.ndarray
     val = np.einsum("ijkl,i,j,k,l->", block, xi, np.conj(xi), nu, np.conj(nu))
     if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
         raise AssertionError(f"bisectional value is not real: {val!r}")
-    return BisectionalValue(value=float(val.real), point=z, xi=xi, nu=nu)
+    return float(val.real)
 
 
 # ---------------------------------------------------------------------------

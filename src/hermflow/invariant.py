@@ -341,17 +341,19 @@ def frame_metric(m: MetricCoefficients) -> np.ndarray:
     return g
 
 
+#: draws ``sample_admissible_metric`` makes before it gives up
+SAMPLE_MAX_TRIES = 200
+
+
 def sample_admissible_metric(rng: np.random.Generator,
-                             fixed: dict
-                             | None = None,
-                             max_tries: int = 200) -> MetricCoefficients:
+                             fixed: dict | None = None) -> MetricCoefficients:
     """Random admissible coefficients: r2, s2, t2 uniform in [0.5, 2] and
     u, v, z in the complex disk of radius 0.4 (rejection sampling), keeping
     the determinant indicator away from zero.  ``fixed`` pins individual
     coefficients, e.g. ``{"v": 0, "z": 0}`` or ``{"r2": 1}``.
     """
     fixed = dict(fixed or {})
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_MAX_TRIES):
         vals = {
             "r2": rng.uniform(0.5, 2.0),
             "s2": rng.uniform(0.5, 2.0),
@@ -533,11 +535,6 @@ def check_cplx(omega: CurvatureTensor | Sequence[CurvatureTensor]
 # flow tangent -S + a Q1 + b Q2 + c Q3 + d Q4
 # ---------------------------------------------------------------------------
 
-def metric_inverse_block(G: np.ndarray) -> np.ndarray:
-    """Matrix inverse of the Hermitian block; ``g^{k l~} = Ginv[l, k]``."""
-    return np.linalg.inv(G)
-
-
 def q_terms(Ginv: np.ndarray, t_low: np.ndarray) -> np.ndarray:
     """The four torsion quadratics as a (4, ..., n, n) array, from stacks of
     the lowered Chern torsion ``t[..., i, j, k] = T_{i j k~}`` and the inverse
@@ -610,8 +607,7 @@ def _tangent_rows(bracket: BracketTable, x: np.ndarray, coeffs: np.ndarray) -> n
 
 def hcf_tangent(eqs: ComplexStructureEquations,
                 m: MetricCoefficients | np.ndarray,
-                fc,
-                bracket: BracketTable | None = None):
+                fc):
     """Hermitian matrix ``K[i, j] = (-S + a Q1 + b Q2 + c Q3 + d Q4)_{i j~}``.
 
     ``S`` is the inverse-metric trace of the Chern curvature over its
@@ -621,12 +617,12 @@ def hcf_tangent(eqs: ComplexStructureEquations,
 
     One metric ``m`` and flow ``fc`` give the (3, 3) matrix; an inadmissible
     metric or a non-finite ``K`` raises ``MetricError``, a ``K`` that is not
-    Hermitian to ``zero_threshold(max|K|, rtol=1e-8)`` raises
-    ``FlowDegenerationError``.  An (R, 9) stack of ``as_array`` rows with an
-    (R, 4) array of (a, b, c, d) rows gives the (R, 3, 3) stack and the mask
-    of the rows that pass those tests, raising nothing.
+    Hermitian to ``1e-8 * (1 + max|K|)`` raises ``FlowDegenerationError``.
+    An (R, 9) stack of ``as_array`` rows with an (R, 4) array of (a, b, c, d)
+    rows gives the (R, 3, 3) stack and the mask of the rows that pass those
+    tests, raising nothing.  The bracket is ``eqs.bracket``.
     """
-    bracket = eqs.bracket if bracket is None else bracket
+    bracket = eqs.bracket
     single = isinstance(m, MetricCoefficients)
     if single:
         m.validate()
@@ -643,7 +639,7 @@ def hcf_tangent(eqs: ComplexStructureEquations,
             K[ok] = _tangent_rows(bracket, x[ok], coeffs[ok])
         KH = K.conj().swapaxes(1, 2)
         size, defect = np.abs(K).max(axis=(1, 2)), np.abs(K - KH).max(axis=(1, 2))
-    # zero_threshold(size, rtol=1e-8) row by row; a NaN row fails both tests
+    # a NaN row fails both tests
     ok &= np.isfinite(size) & (defect <= 1e-8 * (1.0 + size))
     if not single:
         return 0.5 * (K + KH), ok
@@ -689,16 +685,14 @@ _DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
 #: tolerances of the local error estimate, per real coordinate of the state
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
+#: a flow whose proposed step falls below this is degenerate
+FLOW_MIN_STEP = 1e-6
 
 
 @dataclass
 class FlowStepStats:
-    """Work of the flow integrator, summed over the calls that share it.
-
-    ``step`` is the next trial step the controller proposes and ``t`` the
-    time reached; both carry over from one ``invariant_flow_step`` call to
-    the next.
-    """
+    """One flow's integrator state and work: ``step`` is the next trial step
+    the controller proposes and ``t`` the time reached."""
 
     step: float
     t: float = 0.0
@@ -708,28 +702,26 @@ class FlowStepStats:
     tangent_evals: int = 0
 
 
-def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
-               coeffs: np.ndarray, x0: np.ndarray, stats: list[FlowStepStats],
-               t_start: float, records: list[float], min_dt: float
+def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarray,
+               stats: list[FlowStepStats], records: list[float]
                ) -> list[list[np.ndarray]]:
     """Advance each row of the (R, 9) stack ``x0`` under its row of ``coeffs``
-    from ``t_start`` through the times ``records``; returns each row's states
+    from time 0 through the times ``records``; returns each row's states
     at the record times it reached.  The rows step in lockstep and share one
     stacked ``hcf_tangent`` call per stage; step, time, FSAL stages, step
     decisions and ``stats[r]`` are the row's own.  Each record interval opens
     with a first-stage evaluation.  A failing stage rejects its row's step,
     skips its remaining stages and shrinks the step five-fold.  A row whose
-    proposed step falls below ``min_dt`` is degenerate at ``stats[r].t``."""
+    proposed step falls below ``FLOW_MIN_STEP`` is degenerate at
+    ``stats[r].t``."""
     x = np.array(x0, dtype=float)
     k = np.empty((len(x), 7, x.shape[1]))
     out: list[list[np.ndarray]] = [[] for _ in x]
     evals = np.zeros(len(x), dtype=int)
-    for st in stats:
-        st.t = t_start
 
     def rates(rows: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # looked up in the module on every call, where the tracer wraps it
-        K, ok = hcf_tangent(eqs, states, coeffs[rows], bracket=bracket)
+        K, ok = hcf_tangent(eqs, states, coeffs[rows])
         evals[rows] += 1
         return _coefficient_rates(K), ok
 
@@ -780,7 +772,7 @@ def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
                 else:
                     st.rejected += 1
                     st.step = h_p * grow
-            if st.step < min_dt:
+            if st.step < FLOW_MIN_STEP:
                 continue
             if st.t < t_stop[p]:
                 still.append(r)
@@ -792,33 +784,6 @@ def _flow_rows(eqs: ComplexStructureEquations, bracket: BracketTable,
     for st, e in zip(stats, evals.tolist()):
         st.tangent_evals += e
     return out
-
-
-def invariant_flow_step(eqs: ComplexStructureEquations,
-                        m: MetricCoefficients,
-                        fc,
-                        dt: float,
-                        bracket: BracketTable | None = None,
-                        t_now: float = 0.0,
-                        min_dt: float = 1e-6,
-                        stats: FlowStepStats | None = None) -> MetricCoefficients:
-    """Advance the coefficient flow from ``t_now`` to exactly ``t_now + dt``
-    with error-controlled Dormand-Prince 5(4) steps: ``_flow_rows`` on one
-    row.  The first trial step is ``dt``, or ``stats.step`` when ``stats``
-    carries the controller's proposal from an earlier call.  A degenerate
-    flow raises ``FlowDegenerationError`` at the time reached."""
-    check_finite(dt=dt, t_now=t_now)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    bracket = eqs.bracket if bracket is None else bracket
-    if stats is None:
-        stats = FlowStepStats(step=dt)
-    m.validate()
-    states = _flow_rows(eqs, bracket, np.array([fc.as_tuple()]), m.as_array()[None],
-                        [stats], t_now, [t_now + dt], min_dt)[0]
-    if not states:
-        raise FlowDegenerationError(f"flow left admissible cone at t={stats.t:.6g}")
-    return MetricCoefficients.from_array(states[0])
 
 
 @dataclass(frozen=True)
@@ -839,7 +804,6 @@ def integrate_invariant_flows(eqs: ComplexStructureEquations,
                               fcs,
                               t_end: float,
                               dt: float = 1e-3,
-                              bracket: BracketTable | None = None,
                               checkpoints: int = 1) -> list[InvariantFlowResult]:
     """Integrate the coefficient flow of each tuple in ``fcs`` from ``m0`` to
     ``t_end``, recording the state at the times ``t_end * k / checkpoints``,
@@ -854,13 +818,11 @@ def integrate_invariant_flows(eqs: ComplexStructureEquations,
         raise ValueError("t_end and dt must be positive")
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
-    bracket = eqs.bracket if bracket is None else bracket
     m0.validate()
     stats = [FlowStepStats(step=dt) for _ in fcs]
     records = [t_end * j / checkpoints for j in range(1, checkpoints + 1)]
     coeffs = np.array([fc.as_tuple() for fc in fcs], dtype=float).reshape(-1, 4)
-    runs = _flow_rows(eqs, bracket, coeffs, np.tile(m0.as_array(), (len(stats), 1)),
-                      stats, 0.0, records, min_dt=1e-6)
+    runs = _flow_rows(eqs, coeffs, np.tile(m0.as_array(), (len(stats), 1)), stats, records)
     return [InvariantFlowResult(
         times=np.array([0.0] + records[:len(states)]),
         metrics=[m0] + [MetricCoefficients.from_array(s) for s in states],
@@ -878,8 +840,21 @@ def integrate_invariant_flow(eqs: ComplexStructureEquations,
                              fc,
                              t_end: float,
                              dt: float = 1e-3,
-                             bracket: BracketTable | None = None,
                              checkpoints: int = 1) -> InvariantFlowResult:
     """``integrate_invariant_flows`` for the one flow ``fc``."""
-    return integrate_invariant_flows(eqs, m0, [fc], t_end, dt=dt, bracket=bracket,
+    return integrate_invariant_flows(eqs, m0, [fc], t_end, dt=dt,
                                      checkpoints=checkpoints)[0]
+
+
+def invariant_flow_step(eqs: ComplexStructureEquations,
+                        m: MetricCoefficients,
+                        fc,
+                        dt: float) -> MetricCoefficients:
+    """The metric at ``dt``: ``integrate_invariant_flow(eqs, m, fc, t_end=dt,
+    dt=dt)`` as a stack of one, raising ``FlowDegenerationError`` at its
+    ``exit_time`` for a degenerate flow."""
+    check_finite(dt=dt)
+    result = integrate_invariant_flow(eqs, m, fc, t_end=dt, dt=dt)
+    if result.degenerated:
+        raise FlowDegenerationError(f"flow left admissible cone at t={result.exit_time:.6g}")
+    return result.metrics[-1]

@@ -80,14 +80,13 @@ def wirtinger_derivative(fun: Callable[[np.ndarray], np.ndarray],
 
 def fd_curvature(field: PointMetricField,
                  z: np.ndarray,
-                 gamma: Callable[[np.ndarray], np.ndarray] | None = None,
                  h: float | None = None,
                  richardson: bool = False) -> CurvatureTensor:
-    """Lowered curvature of the supplied connection at ``z`` by finite
-    differences, full-frame components ``g(R(e_A, e_B) e_C, e_D)``."""
+    """Lowered curvature of the connection ``field.christoffels`` at ``z`` by
+    finite differences, full-frame components ``g(R(e_A, e_B) e_C, e_D)``."""
     n = field.n
     z = _check_point(n, z)
-    gamma = gamma if gamma is not None else field.christoffels
+    gamma = field.christoffels
     if gamma is None:
         raise ValueError("no Christoffel evaluator supplied")
     if h is None:

@@ -213,8 +213,7 @@ def _mixed_block(omega: CurvatureTensor | np.ndarray) -> np.ndarray:
 
 def classify(omega: CurvatureTensor | np.ndarray | Sequence,
              starts: int = DEFAULT_STARTS,
-             seed: int | Sequence[int] = 0,
-             rtol: float = VERDICT_RTOL):
+             seed: int | Sequence[int] = 0):
     """Classify the sign of the bisectional biquadratic of a curvature tensor.
 
     ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
@@ -230,7 +229,7 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if not isinstance(omega, (list, tuple)):
-        return classify([omega], starts, [seed], rtol)[0]
+        return classify([omega], starts, [seed])[0]
     tensors = [o for o in omega if isinstance(o, CurvatureTensor)]
     for report in (check_cplx(tensors) if tensors else []):
         if not report.satisfied:
@@ -248,10 +247,10 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
     for block, q_seed in zip(blocks, seed):
         n = block.shape[0]
         magnitude = float(np.max(np.abs(block)))
-        if magnitude <= 0.0 or magnitude <= rtol:
+        if magnitude <= 0.0 or magnitude <= VERDICT_RTOL:
             zero = np.zeros(n, dtype=complex)
             results.append(SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero),
-                                              (zero, zero), rtol * magnitude,
+                                              (zero, zero), VERDICT_RTOL * magnitude,
                                               magnitude, True))
             continue
         live.append((len(results), block, magnitude, *_random_starts(q_seed, starts, n)))
@@ -269,7 +268,7 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
     max_rows = np.flatnonzero(~minimize)
     for w, (q, block, magnitude, _, _) in enumerate(live):
         own = slice(w * len(minimize), (w + 1) * len(minimize))
-        vals, xi, nu, tol = values[own], xis[own], nus[own], rtol * magnitude
+        vals, xi, nu, tol = values[own], xis[own], nus[own], VERDICT_RTOL * magnitude
         # first best wins, as argmin/argmax return the first extreme, so a
         # tie goes to a random start
         i_min = int(min_rows[np.argmin(vals[min_rows])])

@@ -16,10 +16,10 @@ import numpy as np
 ZERO_RTOL = 1e-9
 
 
-def zero_threshold(magnitude: float, rtol: float = ZERO_RTOL) -> float:
+def zero_threshold(magnitude: float) -> float:
     """Absolute cutoff below which an entry of a tensor with the given
     maximal magnitude counts as zero."""
-    return rtol * (1.0 + float(magnitude))
+    return ZERO_RTOL * (1.0 + float(magnitude))
 
 
 class IndexKind(enum.Enum):

@@ -41,8 +41,9 @@ from hermflow.catalog import (CASE_INDEX, CASES, NAMED_FLOWS, ClassificationRow,
                               bismut_curvature, instantiate)
 from hermflow.flows import Termination
 from hermflow.invariant import (_DP_A, _DP_E, CURVATURE_COMPONENT_SIGN, FLOW_ATOL,
-                                FLOW_RTOL, BracketTable, ConnectionCoefficients,
-                                ConnectionKind, CplxReport, FlowDegenerationError,
+                                FLOW_MIN_STEP, FLOW_RTOL, BracketTable,
+                                ConnectionCoefficients, ConnectionKind,
+                                CplxReport, FlowDegenerationError,
                                 FlowStepStats, InvariantFlowResult,
                                 MetricCoefficients, MetricError,
                                 _coefficient_rates, connection, dualize,
@@ -171,10 +172,8 @@ def q_terms(Ginv: np.ndarray, t_low: np.ndarray):
     return q1, q2, q3, q4
 
 
-def hcf_tangent(eqs, m: MetricCoefficients, fc, bracket=None) -> np.ndarray:
-    n = eqs.n
-    if bracket is None:
-        bracket = dualize(eqs)
+def hcf_tangent(eqs, m: MetricCoefficients, fc) -> np.ndarray:
+    n, bracket = eqs.n, eqs.bracket
     g = frame_metric(m)
     conn = connection(ConnectionKind.CHERN, bracket, g)
     h = slice(0, n)
@@ -188,7 +187,7 @@ def hcf_tangent(eqs, m: MetricCoefficients, fc, bracket=None) -> np.ndarray:
     if not np.isfinite(K).all():
         raise MetricError("flow tangent overflowed")
     herm_defect = float(np.max(np.abs(K - K.conj().T)))
-    if herm_defect > zero_threshold(float(np.max(np.abs(K))), rtol=1e-8):
+    if herm_defect > 1e-8 * (1.0 + float(np.max(np.abs(K)))):
         raise FlowDegenerationError(f"flow tangent lost Hermitian symmetry ({herm_defect:.2e})")
     return 0.5 * (K + K.conj().T)
 
@@ -197,7 +196,10 @@ def hcf_tangent(eqs, m: MetricCoefficients, fc, bracket=None) -> np.ndarray:
 # the one-flow-at-a-time Dormand-Prince integrator
 # ---------------------------------------------------------------------------
 
-def invariant_flow_step(eqs, m, fc, dt, bracket, t_now, stats, min_dt=1e-6):
+def flow_interval(eqs, m, fc, dt, t_now, stats):
+    """One record interval of the one-flow integrator, from ``t_now`` to
+    ``t_now + dt``; ``stats`` carries the step and the counters from one
+    interval to the next."""
     stats.t = t = t_now
     t_stop = t_now + dt
     h = stats.step
@@ -205,7 +207,7 @@ def invariant_flow_step(eqs, m, fc, dt, bracket, t_now, stats, min_dt=1e-6):
     def rate(x):
         stats.tangent_evals += 1
         mm = MetricCoefficients.from_array(x)
-        return _coefficient_rates(hcf_tangent(eqs, mm, fc, bracket=bracket))
+        return _coefficient_rates(hcf_tangent(eqs, mm, fc))
 
     x = m.as_array()
     k = np.empty((7, x.size))
@@ -235,16 +237,14 @@ def invariant_flow_step(eqs, m, fc, dt, bracket, t_now, stats, min_dt=1e-6):
             else:
                 stats.rejected += 1
                 h = h_try * grow
-        if h < min_dt:
+        if h < FLOW_MIN_STEP:
             raise FlowDegenerationError(f"flow left admissible cone at t={t:.6g}")
     stats.step = h
     return MetricCoefficients.from_array(x)
 
 
-def integrate_invariant_flow(eqs, m0, fc, t_end, dt=1e-3, bracket=None,
+def integrate_invariant_flow(eqs, m0, fc, t_end, dt=1e-3,
                              checkpoints=1) -> InvariantFlowResult:
-    if bracket is None:
-        bracket = dualize(eqs)
     stats = FlowStepStats(step=dt)
     times = [0.0]
     metrics = [m0]
@@ -252,8 +252,7 @@ def integrate_invariant_flow(eqs, m0, fc, t_end, dt=1e-3, bracket=None,
     for j in range(1, checkpoints + 1):
         t_next = t_end * j / checkpoints
         try:
-            m = invariant_flow_step(eqs, metrics[-1], fc, t_next - times[-1],
-                                    bracket, times[-1], stats)
+            m = flow_interval(eqs, metrics[-1], fc, t_next - times[-1], times[-1], stats)
         except FlowDegenerationError:
             exit_time = stats.t
             break
@@ -291,7 +290,6 @@ def flow_preservation_check(case_key: str, extra_flows: int = 5,
     flow results."""
     case = CASE_INDEX[case_key]
     eqs, m0, flows, rng = case_flows(case_key, extra_flows, seed)
-    bracket = dualize(eqs)
     zero_names = [name for name, val in (case.sign_slice or {}).items()
                   if name in ("u", "v", "z") and val == 0]
     slice_drift = 0.0
@@ -302,7 +300,7 @@ def flow_preservation_check(case_key: str, extra_flows: int = 5,
     for fc in flows:
         label = fc.name or "anon"
         result = integrate_invariant_flow(eqs, m0, fc, t_end=t_end, dt=dt,
-                                          bracket=bracket, checkpoints=checkpoints)
+                                          checkpoints=checkpoints)
         results.append(result)
         if result.degenerated:
             degenerated.append(label)
@@ -310,7 +308,7 @@ def flow_preservation_check(case_key: str, extra_flows: int = 5,
         for m in result.metrics:
             for name in zero_names:
                 slice_drift = max(slice_drift, abs(getattr(m, name)))
-            omega = bismut_curvature(eqs, m, bracket)
+            omega = bismut_curvature(eqs, m)
             if flat_drift is not None:
                 flat_drift = max(flat_drift, omega.magnitude)
                 track.append("flat")

@@ -93,7 +93,7 @@ def test_criterion_3_threshold_sharpness():
             h = hopf.HopfMetric(3, 1.0, -0.5 + eps)
             z = np.array([0.9 - 0.3j, 0.0, 0.0])
             n4 = float(np.vdot(z, z).real) ** 2
-            val = hopf.bisectional(h, z, np.eye(3)[1], np.eye(3)[2]).value
+            val = hopf.bisectional(h, z, np.eye(3)[1], np.eye(3)[2])
             assert val == pytest.approx(-2 * eps / n4, abs=1e-8)
 
 

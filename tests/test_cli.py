@@ -66,6 +66,36 @@ def test_hopf_rejects_inadmissible(capsys):
     assert "beta > -alpha" in err
 
 
+_HOPF = ["hopf", "--n", "2", "--alpha", "1", "--beta", "0"]
+
+
+@pytest.mark.parametrize("argv,value", [
+    (_HOPF + ["--point", "nan,0"], "nan"),
+    (_HOPF + ["--point", "inf,0"], "inf"),
+    (_HOPF + ["--point", "1,0", "--xi", "nan,0", "--nu", "e1"], "nan"),
+    (_HOPF + ["--point", "1,0", "--xi", "e1", "--nu", "1,1+nani"], "1+nani"),
+    (["cplx", "--family", "Ni", "--params", "rho=0,lam=0,D=nan"], "nan"),
+    (["classify", "--family", "Np", "--params", "rho=1", "--metric", "u=inf"], "inf"),
+], ids=["point-nan", "point-inf", "xi-nan", "nu-complex-nan", "params-nan", "metric-inf"])
+def test_non_finite_numbers_exit_2(capsys, argv, value):
+    # a NaN point used to print "max_component": NaN, which is not JSON
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: number {value!r} must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--n", "2", "--alpha", "inf", "--beta", "0", "--point", "1,0"],
+    ["hopf", "--n", "2", "--alpha", "1", "--beta", "inf", "--point", "1,0"],
+    ["classify", "--hopf", "2,1,inf"],
+], ids=["alpha-inf", "beta-inf", "classify-hopf-inf"])
+def test_infinite_hopf_parameters_exit_2(capsys, argv):
+    # an infinite alpha used to print "alpha": Infinity and exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: alpha and beta must be finite")
+
+
 def test_hopf_verify_flag(capsys):
     code, out, _ = run(capsys, "hopf", "--n", "3", "--alpha", "1",
                        "--beta", "0.4", "--point", "0.5,0.2,1", "--verify")

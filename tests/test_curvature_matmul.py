@@ -136,7 +136,7 @@ def _assert_close_documents(got, want, where):
 def test_cli_cplx_and_classify_agree_with_the_einsum_reference(capsys, monkeypatch):
     corpus = _cli_corpus()
     got = [_run(capsys, argv) for argv in corpus]
-    monkeypatch.setattr(catalog, "bismut_curvature", lambda eqs, m, bracket=None:
+    monkeypatch.setattr(catalog, "bismut_curvature", lambda eqs, m:
                         reference.bismut_curvature_alone(eqs, m, eqs.bracket))
     monkeypatch.setattr(cli, "check_cplx", reference.check_cplx_alone)
     want = [_run(capsys, argv) for argv in corpus]

@@ -11,7 +11,7 @@ import pytest
 from hermflow import catalog, hopf, invariant, positivity
 from hermflow.catalog import CASES, bismut_curvature, instantiate
 from hermflow.flows import NAMED_FLOWS, FlowCoefficients, Termination
-from hermflow.invariant import (MetricCoefficients, dualize, hcf_tangent,
+from hermflow.invariant import (MetricCoefficients, hcf_tangent,
                                 integrate_invariant_flow,
                                 integrate_invariant_flows, q_terms,
                                 sample_admissible_metric)
@@ -34,34 +34,32 @@ def _flow_tuples(rng, count):
 @pytest.mark.parametrize("case", CASES, ids=[c.key for c in CASES])
 def test_matmul_tangent_matches_einsum_reference(case, rng):
     eqs = instantiate(case.family, **case.params)
-    bracket = dualize(eqs)
     metrics = [sample_admissible_metric(rng) for _ in range(4)]
     flows = _flow_tuples(rng, 3)
     for m in metrics:
         for fc in flows:
-            want = reference.hcf_tangent(eqs, m, fc, bracket=bracket)
-            got = hcf_tangent(eqs, m, fc, bracket=bracket)
+            want = reference.hcf_tangent(eqs, m, fc)
+            got = hcf_tangent(eqs, m, fc)
             assert reference.relative_error(got, want) <= TANGENT_RTOL, (case.key, fc)
     # the same pairs as one stack
     x = np.array([m.as_array() for m in metrics for _ in flows])
     coeffs = np.array([fc.as_tuple() for _ in metrics for fc in flows])
-    K, ok = hcf_tangent(eqs, x, coeffs, bracket=bracket)
+    K, ok = hcf_tangent(eqs, x, coeffs)
     assert ok.all()
     for row, (m, fc) in enumerate((m, fc) for m in metrics for fc in flows):
-        want = reference.hcf_tangent(eqs, m, fc, bracket=bracket)
+        want = reference.hcf_tangent(eqs, m, fc)
         assert reference.relative_error(K[row], want) <= TANGENT_RTOL
 
 
 def test_stacked_tangent_rows_equal_rows_alone(rng):
     eqs = instantiate("Nii", rho=1, B=0j, c=0.0)
-    bracket = dualize(eqs)
     x = np.array([sample_admissible_metric(rng).as_array() for _ in range(24)])
     coeffs = rng.uniform(-1, 1, (24, 4))
-    full, _ = hcf_tangent(eqs, x, coeffs, bracket=bracket)
+    full, _ = hcf_tangent(eqs, x, coeffs)
     for size in (1, 2, 3, 5, 8):
         for start in range(0, 24 - size, 5):
             part, _ = hcf_tangent(eqs, x[start:start + size],
-                                  coeffs[start:start + size], bracket=bracket)
+                                  coeffs[start:start + size])
             assert np.array_equal(part, full[start:start + size])
 
 
@@ -114,13 +112,12 @@ def _assert_same_flow(got, want):
 def _check_stack_against_alone(seed):
     for key in CRITERION_8_CASES:
         eqs, m0, flows, _ = reference.case_flows(key, 2, seed)
-        bracket = dualize(eqs)
         stacked = integrate_invariant_flows(eqs, m0, flows, t_end=0.5, dt=2e-3,
-                                            bracket=bracket, checkpoints=2)
+                                            checkpoints=2)
         assert len(stacked) == len(flows)
         for fc, got in zip(flows, stacked):
             alone = integrate_invariant_flow(eqs, m0, fc, t_end=0.5, dt=2e-3,
-                                             bracket=bracket, checkpoints=2)
+                                             checkpoints=2)
             _assert_same_flow(got, alone)
 
 

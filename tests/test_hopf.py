@@ -64,7 +64,7 @@ def test_two_zero_coordinate_violation():
         h = hopf.HopfMetric(3, 1.0, -0.5 + eps)
         z = np.array([0.0, 0.0, 1.3 - 0.4j])
         n4 = float(np.vdot(z, z).real) ** 2
-        val = hopf.bisectional(h, z, np.eye(3)[0], np.eye(3)[1]).value
+        val = hopf.bisectional(h, z, np.eye(3)[0], np.eye(3)[1])
         assert val == pytest.approx(-2 * eps / n4, abs=1e-12)
 
 
@@ -117,12 +117,12 @@ def test_bisectional_symmetry_and_zero_along_z(rng):
         z = random_point(rng, h.n)
         xi = rng.normal(size=h.n) + 1j * rng.normal(size=h.n)
         nu = rng.normal(size=h.n) + 1j * rng.normal(size=h.n)
-        v1 = hopf.bisectional(h, z, xi, nu).value
-        v2 = hopf.bisectional(h, z, nu, xi).value
+        v1 = hopf.bisectional(h, z, xi, nu)
+        v2 = hopf.bisectional(h, z, nu, xi)
         assert v1 == pytest.approx(v2, abs=1e-10 * (1 + abs(v1)))
         lam = rng.normal() + 1j * rng.normal()
-        assert hopf.bisectional(h, z, lam * z, nu).value == pytest.approx(0.0, abs=1e-12)
-        assert hopf.bisectional(h, z, xi, lam * z).value == pytest.approx(0.0, abs=1e-12)
+        assert hopf.bisectional(h, z, lam * z, nu) == pytest.approx(0.0, abs=1e-12)
+        assert hopf.bisectional(h, z, xi, lam * z) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_half_ratio_identity(rng):
@@ -137,7 +137,7 @@ def test_half_ratio_identity(rng):
         n2 = float(np.vdot(z, z).real)
         expected = alpha * abs(np.vdot(nu, xi) * n2
                                - np.vdot(z, xi) * np.vdot(nu, z)) ** 2 / n2 ** 4
-        got = hopf.bisectional(h, z, xi, nu).value
+        got = hopf.bisectional(h, z, xi, nu)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert got >= -1e-12
 
@@ -146,7 +146,7 @@ def test_half_ratio_worked_value():
     h = hopf.HopfMetric(3, 1.0, -0.5)
     z = np.array([0.0, 0.0, 1.0], dtype=complex)
     e1 = np.eye(3)[0]
-    assert hopf.bisectional(h, z, e1, e1).value == pytest.approx(1.0)
+    assert hopf.bisectional(h, z, e1, e1) == pytest.approx(1.0)
 
 
 def test_ricci_trace_of_canonical_metric(rng):

@@ -1,6 +1,8 @@
 """The error-controlled coefficient flow: step statistics, record times,
 degeneration and accuracy against an independent integrator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,30 @@ def test_flow_matches_scipy_dop853(fc):
     for m, x_ref in zip(res.metrics[1:], ref.y.T):
         err = np.max(np.abs(m.as_array() - x_ref)) / max(1.0, np.max(np.abs(x_ref)))
         assert err <= 1e-7
+
+
+#: a flow that leaves the admissible cone of Nii/main before t = 0.25
+COLLAPSING_FLOW = FlowCoefficients(-8.0, -8.0, -8.0, -8.0)
+
+
+@pytest.mark.parametrize("key", ["Nii/main", "Siv1"])
+def test_flow_step_is_the_flow_as_a_stack_of_one(key):
+    case = CASE_INDEX[key]
+    eqs = instantiate(case.family, **case.params)
+    rng = np.random.default_rng(11)
+    m0 = _sample_slice(rng, case.sign_slice)
+    flows = [named_flow(name) for name in ("gradient", "pluriclosed", "ustinovskiy")]
+    flows += [FlowCoefficients(*rng.uniform(-1, 1, 4)), COLLAPSING_FLOW]
+    degenerate = 0
+    for fc in flows:
+        for dt in (0.05, 0.3):
+            result = integrate_invariant_flow(eqs, m0, fc, t_end=dt, dt=dt)
+            if result.degenerated:
+                degenerate += 1
+                message = re.escape(f"flow left admissible cone at t={result.exit_time:.6g}")
+                with pytest.raises(invariant.FlowDegenerationError, match=message):
+                    invariant.invariant_flow_step(eqs, m0, fc, dt)
+            else:
+                step = invariant.invariant_flow_step(eqs, m0, fc, dt)
+                assert np.array_equal(step.as_array(), result.metrics[-1].as_array())
+    assert degenerate > 0

@@ -41,7 +41,7 @@ def test_stacked_bismut_curvature_equals_per_metric(seed):
         eqs = instantiate(case.family, **case.params)
         bracket = dualize(eqs)
         metrics = _case_metrics(case, seed)
-        stacked = bismut_curvature(eqs, metrics, bracket)
+        stacked = bismut_curvature(eqs, metrics)
         assert len(stacked) == len(metrics)
         for m, omega in zip(metrics, stacked):
             want = reference.bismut_curvature_alone(eqs, m, bracket)
@@ -49,7 +49,7 @@ def test_stacked_bismut_curvature_equals_per_metric(seed):
                     <= WITNESS_AGREEMENT * (1 + want.magnitude)), case.key
             assert omega.connection == want.connection == "bismut"
             # one metric is a stack of one
-            single = bismut_curvature(eqs, m, bracket)
+            single = bismut_curvature(eqs, m)
             assert np.array_equal(single.data, omega.data), case.key
 
 
@@ -58,8 +58,7 @@ def test_stacked_check_cplx_equals_per_tensor_reports(seed):
     seen_violations = 0
     for case in CASES:
         eqs = instantiate(case.family, **case.params)
-        bracket = dualize(eqs)
-        omegas = bismut_curvature(eqs, _case_metrics(case, seed), bracket)
+        omegas = bismut_curvature(eqs, _case_metrics(case, seed))
         for got, omega in zip(check_cplx(omegas), omegas):
             want = reference.check_cplx_alone(omega)
             assert got == want, case.key

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from hermflow import catalog, invariant
 from hermflow.catalog import CASES, instantiate
 from hermflow.flows import NAMED_FLOWS
-from hermflow.invariant import (MetricCoefficients, _admissible_rows, _j_diagonal,
-                                _koszul_lowered, d_omega, dualize, frame_metric,
-                                hcf_tangent, sample_admissible_metric)
+from hermflow.invariant import (ComplexStructureEquations, MetricCoefficients,
+                                _admissible_rows, _j_diagonal, _koszul_lowered,
+                                d_omega, dualize, frame_metric, hcf_tangent,
+                                sample_admissible_metric)
 from tests import reference
 
 MAP_RTOL = 1e-15
@@ -59,20 +60,18 @@ def test_tangent_map_is_built_once_per_bracket(monkeypatch, rng):
 
     monkeypatch.setattr(invariant, "_koszul_lowered", counting)
     eqs = instantiate("Nii", rho=1, B=0j, c=0.0)
-    bracket = dualize(eqs)
     x = np.array([sample_admissible_metric(rng).as_array() for _ in range(3)])
     coeffs = rng.uniform(-1, 1, (3, 4))
     assert not builds
-    hcf_tangent(eqs, x, coeffs, bracket=bracket)
-    hcf_tangent(eqs, x[:1], coeffs[:1], bracket=bracket)
-    hcf_tangent(eqs, MetricCoefficients(1.0, 1.0, 1.0), NAMED_FLOWS["gradient"],
-                bracket=bracket)
+    hcf_tangent(eqs, x, coeffs)
+    hcf_tangent(eqs, x[:1], coeffs[:1])
+    hcf_tangent(eqs, MetricCoefficients(1.0, 1.0, 1.0), NAMED_FLOWS["gradient"])
     assert len(builds) == 1
-    # a second bracket has its own map
-    other = dualize(instantiate("Np", rho=1))
-    hcf_tangent(eqs, x, coeffs, bracket=other)
+    # a second equations object has its own bracket and map
+    other = ComplexStructureEquations(eqs.n, eqs.C, eqs.D)
+    hcf_tangent(other, x, coeffs)
     assert len(builds) == 2
-    assert bracket.tangent_map is bracket.tangent_map
+    assert eqs.bracket.tangent_map is eqs.bracket.tangent_map
 
 
 # --- the shared cone test ----------------------------------------------------
@@ -130,7 +129,6 @@ def test_stacked_cone_mask_equals_is_admissible(rows):
 
 def test_inadmissible_rows_leave_the_admissible_tangents_unchanged(rng):
     eqs = instantiate("Nii", rho=1, B=0j, c=0.0)
-    bracket = dualize(eqs)
     good = np.array([sample_admissible_metric(rng).as_array() for _ in range(4)])
     bad = np.array([MetricCoefficients(-1.0, 1.0, 1.0).as_array(),
                     MetricCoefficients(1.0, 1.0, 1.0, u=1.5).as_array(),
@@ -139,12 +137,12 @@ def test_inadmissible_rows_leave_the_admissible_tangents_unchanged(rng):
     order = rng.permutation(len(good) + len(bad))
     x = np.concatenate([good, bad])[order]
     coeffs = rng.uniform(-1, 1, (len(x), 4))
-    K, ok = hcf_tangent(eqs, x, coeffs, bracket=bracket)
+    K, ok = hcf_tangent(eqs, x, coeffs)
     assert ok.tolist() == (order < len(good)).tolist()
-    alone, _ = hcf_tangent(eqs, x[ok], coeffs[ok], bracket=bracket)
+    alone, _ = hcf_tangent(eqs, x[ok], coeffs[ok])
     assert np.array_equal(K[ok], alone)
     for row in np.flatnonzero(ok):
-        single, _ = hcf_tangent(eqs, x[row:row + 1], coeffs[row:row + 1], bracket=bracket)
+        single, _ = hcf_tangent(eqs, x[row:row + 1], coeffs[row:row + 1])
         assert np.array_equal(K[row], single[0])
 
 
@@ -156,7 +154,6 @@ _RIM = [0.64, 0.11, 1.117850066577896, 0.13799999999999998, -0.146, 0.168, -0.03
 
 def test_a_block_singular_at_the_rim_fails_only_its_row(rng):
     eqs = instantiate("Nii", rho=1, B=0j, c=0.0)
-    bracket = dualize(eqs)
     rim = MetricCoefficients.from_array(np.array(_RIM))
     assert rim.is_admissible()
     with pytest.raises(np.linalg.LinAlgError):
@@ -164,11 +161,11 @@ def test_a_block_singular_at_the_rim_fails_only_its_row(rng):
     good = np.array([sample_admissible_metric(rng).as_array() for _ in range(2)])
     x = np.array([good[0], _RIM, good[1]])
     coeffs = rng.uniform(-1, 1, (3, 4))
-    K, ok = hcf_tangent(eqs, x, coeffs, bracket=bracket)
+    K, ok = hcf_tangent(eqs, x, coeffs)
     assert ok.tolist() == [True, False, True]
-    assert np.array_equal(K[ok], hcf_tangent(eqs, good, coeffs[ok], bracket=bracket)[0])
+    assert np.array_equal(K[ok], hcf_tangent(eqs, good, coeffs[ok])[0])
     with pytest.raises(invariant.MetricError, match="not finite"):
-        hcf_tangent(eqs, rim, NAMED_FLOWS["gradient"], bracket=bracket)
+        hcf_tangent(eqs, rim, NAMED_FLOWS["gradient"])
 
 
 # --- the tangent rows the driver counts --------------------------------------
@@ -177,9 +174,9 @@ def test_tangent_evals_count_the_rows_the_tangent_received(monkeypatch):
     rows, results = [], []
     tangent, integrate = invariant.hcf_tangent, catalog.integrate_invariant_flows
 
-    def counting_tangent(eqs, m, fc, bracket=None):
+    def counting_tangent(eqs, m, fc):
         rows.append(len(m))
-        return tangent(eqs, m, fc, bracket=bracket)
+        return tangent(eqs, m, fc)
 
     def keeping(*args, **kwargs):
         results.extend(integrate(*args, **kwargs))
