@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -377,23 +376,13 @@ def _sample_off_slice(rng: np.random.Generator, slice_spec: dict
 
 
 def bismut_curvature(eqs: ComplexStructureEquations,
-                     m: MetricCoefficients | list[MetricCoefficients]
-                     ) -> CurvatureTensor | list[CurvatureTensor]:
+                     m: MetricCoefficients | list[MetricCoefficients]) -> CurvatureTensor:
     """Convenience: Bismut curvature of an invariant structure.  A list of
-    metrics gives the list of their curvatures, computed as one stack."""
+    metrics gives the stack of their curvatures."""
     bracket = eqs.bracket
-    single = isinstance(m, MetricCoefficients)
-    g = np.stack([frame_metric(x) for x in ([m] if single else m)])
-    omegas = curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
-    return omegas[0] if single else omegas
-
-
-def _chunked_curvatures(eqs: ComplexStructureEquations,
-                        metrics: list[MetricCoefficients]):
-    """The Bismut curvatures of ``metrics`` in order, one list per stack of
-    ``SCAN_CHUNK`` metrics."""
-    for start in range(0, len(metrics), SCAN_CHUNK):
-        yield bismut_curvature(eqs, metrics[start:start + SCAN_CHUNK])
+    g = frame_metric(m) if isinstance(m, MetricCoefficients) else \
+        np.stack([frame_metric(x) for x in m])
+    return curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -570,22 +559,24 @@ def classify_case(case: ClassificationCase,
 
     Each phase draws all of its metrics first, in the order of the rng, and
     then scans them in stacks of ``SCAN_CHUNK``; the sign samples are
-    classified in one batch.
+    classified in one stack.
     """
     eqs = instantiate(case.family, **case.params)
     detail: dict = {}
 
     def scan(metrics: list[MetricCoefficients]):
-        """(pure-type vanishing holds, curvature) per metric."""
-        for omegas in _chunked_curvatures(eqs, metrics):
-            for omega, report in zip(omegas, check_cplx(omegas)):
-                yield report.satisfied, omega
+        """(metrics, curvature stack, pure-type reports) per stack."""
+        for at in range(0, len(metrics), SCAN_CHUNK):
+            omegas = bismut_curvature(eqs, metrics[at:at + SCAN_CHUNK])
+            yield metrics[at:at + SCAN_CHUNK], omegas, check_cplx(omegas)
+
+    def passes(metrics: list[MetricCoefficients]) -> list[bool]:
+        return [r.satisfied for _, _, reports in scan(metrics) for r in reports]
 
     witnesses: list[WitnessResult] = []
 
     # (a) random full metrics
-    random_pass = sum(ok for ok, _ in scan([sample_admissible_metric(rng)
-                                            for _ in range(samples)]))
+    random_pass = sum(passes([sample_admissible_metric(rng) for _ in range(samples)]))
     detail["random_pass"] = random_pass
     detail["random_total"] = samples
 
@@ -593,10 +584,9 @@ def classify_case(case: ClassificationCase,
     if case.cplx == "always":
         observed = "always" if random_pass == samples else "violated"
     elif case.cplx == "slice":
-        slice_pass = sum(ok for ok, _ in scan([_sample_slice(rng, case.cplx_slice)
-                                               for _ in range(n_aux)]))
-        off_fail = sum(not ok for ok, _ in scan([_sample_off_slice(rng, case.cplx_slice)
-                                                 for _ in range(n_aux)]))
+        slice_pass = sum(passes([_sample_slice(rng, case.cplx_slice) for _ in range(n_aux)]))
+        off_fail = n_aux - sum(passes([_sample_off_slice(rng, case.cplx_slice)
+                                       for _ in range(n_aux)]))
         detail["slice_pass"] = slice_pass
         detail["slice_total"] = n_aux
         detail["off_slice_fail"] = off_fail
@@ -608,10 +598,10 @@ def classify_case(case: ClassificationCase,
         slice_fail = True
         metrics = [_sample_slice(rng, slice_spec)
                    for slice_spec in case.never_slices for _ in range(n_aux)]
-        for m, (ok, omega) in zip(metrics, scan(metrics)):
-            if ok:
-                slice_fail = False
-            witnesses.extend(_never_witness(case, m, omega))
+        for chunk, omegas, reports in scan(metrics):
+            for m, omega, report in zip(chunk, omegas, reports):
+                slice_fail &= not report.satisfied
+                witnesses.extend(_never_witness(case, m, omega))
         observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
 
     # (c) sign classification on the slice
@@ -621,7 +611,7 @@ def classify_case(case: ClassificationCase,
         for _ in range(sign_samples):
             metrics.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
-        omegas = list(chain.from_iterable(_chunked_curvatures(eqs, metrics)))
+        omegas = bismut_curvature(eqs, metrics)
         verdicts = {r.verdict.value for r in classify(omegas, starts=starts, seed=seeds)}
         for m, omega in zip(metrics, omegas):
             witnesses.extend(_witnesses(case, m, omega))
@@ -782,30 +772,23 @@ def flow_preservation_check(case_key: str,
     labels = [fc.name or "anon" for fc in flows]
     zero_names = [name for name, val in (case.sign_slice or {}).items()
                   if name in ("u", "v", "z") and val == 0]
-    slice_drift = 0.0
-    flat_drift: float | None = 0.0 if case.expected_verdict == "flat" else None
     results = integrate_invariant_flows(eqs, m0, flows, t_end=t_end, dt=dt,
                                         checkpoints=checkpoints)
-    # the checkpoint seeds are drawn flow by flow, record by record, and all
-    # checkpoints of the case are classified in one batch
+    # all checkpoints of the case form one curvature stack; their seeds are
+    # drawn flow by flow, record by record
     metrics = [m for result in results for m in result.metrics]
-    omegas = chain.from_iterable(_chunked_curvatures(eqs, metrics))
-    tensors, seeds, owners = [], [], []
-    for label, result in zip(labels, results):
-        for m in result.metrics:
-            for name in zero_names:
-                slice_drift = max(slice_drift, abs(getattr(m, name)))
-            omega = next(omegas)
-            owners.append(label)
-            if flat_drift is not None:
-                flat_drift = max(flat_drift, omega.magnitude)
-            else:
-                tensors.append(omega)
-                seeds.append(int(rng.integers(0, 2 ** 31)))
-    classes = iter(classify(tensors, starts=starts, seed=seeds))
+    owners = [label for label, result in zip(labels, results) for _ in result.metrics]
+    slice_drift = max([0.0] + [abs(getattr(m, name)) for m in metrics for name in zero_names])
+    omegas = bismut_curvature(eqs, metrics)
+    if case.expected_verdict == "flat":
+        flat_drift, classes = omegas.magnitude, ["flat"] * len(metrics)
+    else:
+        seeds = [int(rng.integers(0, 2 ** 31)) for _ in metrics]
+        flat_drift = None
+        classes = [r.verdict.value for r in classify(omegas, starts=starts, seed=seeds)]
     verdicts: dict = {label: [] for label in labels}
-    for label in owners:
-        verdicts[label].append(next(classes).verdict.value if flat_drift is None else "flat")
+    for label, verdict in zip(owners, classes):
+        verdicts[label].append(verdict)
     return FlowPreservationReport(
         key=case_key, flows=labels, slice_drift=slice_drift, verdicts=verdicts,
         flat_drift=flat_drift,

@@ -15,6 +15,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from . import catalog, flows, hopf, oracle
 from .invariant import MetricCoefficients, MetricError, check_cplx
 from .positivity import CplxViolationError, classify, gamma_threshold
-from .tensors import ZERO_RTOL
+from .tensors import ZERO_RTOL, label_name
 
 
 class CliError(ValueError):
@@ -151,6 +152,10 @@ def cmd_hopf(args) -> int:
     h = hopf.HopfMetric(args.n, args.alpha, args.beta)
     z = parse_vector(args.point, args.n)
     block = hopf.bismut_mixed_block(h, z)
+    with np.errstate(over="ignore"):
+        max_component = float(np.max(np.abs(block)))
+    if not math.isfinite(max_component):
+        raise CliError("curvature block is not finite")
     doc = {
         "n": args.n,
         "alpha": args.alpha,
@@ -159,7 +164,7 @@ def cmd_hopf(args) -> int:
         "gamma_threshold": gamma_threshold(args.n),
         "point": [complex(x) for x in z],
         "tolerance": ZERO_RTOL,
-        "max_component": float(np.max(np.abs(block))),
+        "max_component": max_component,
         "components": [
             [i + 1, j + 1, k + 1, l + 1, block[i, j, k, l].real, block[i, j, k, l].imag]
             for (i, j, k, l) in np.ndindex(*block.shape)
@@ -172,6 +177,8 @@ def cmd_hopf(args) -> int:
         xi = parse_vector(args.xi, args.n)
         nu = parse_vector(args.nu, args.n)
         doc["bisectional"] = hopf.bisectional(h, z, xi, nu)
+        if not math.isfinite(doc["bisectional"]):
+            raise CliError("bisectional value is not finite")
     exit_code = 0
     if args.verify:
         field = oracle.PointMetricField(
@@ -250,7 +257,7 @@ def cmd_cplx(args) -> int:
         "satisfied": report.satisfied,
         "max_violation": report.max_violation,
         "tolerance": report.tolerance,
-        "witness": None if report.witness is None else [repr(x) for x in report.witness],
+        "witness": None if report.witness is None else [label_name(x) for x in report.witness],
     })
     return 0
 

@@ -159,7 +159,10 @@ def u_beta_at(z: np.ndarray, n: int) -> np.ndarray:
 def bismut_mixed_block(h: HopfMetric, z: np.ndarray) -> np.ndarray:
     """``Omega[i, j, k, l]`` on ``(d_i, conj d_j, d_k, conj d_l)``."""
     z = _check_point(h, z)
-    return h.alpha * u_alpha_at(z, h.n) + 2.0 * h.beta * u_beta_at(z, h.n)
+    # huge finite parameters overflow to a non-finite block, which the CLI
+    # and CurvatureTensor refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return h.alpha * u_alpha_at(z, h.n) + 2.0 * h.beta * u_beta_at(z, h.n)
 
 
 def bismut_curvature_at(h: HopfMetric, z: np.ndarray) -> CurvatureTensor:

@@ -32,12 +32,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .flows import Termination, check_finite
-from .tensors import CurvatureTensor, FrameIndex, zero_threshold
+from .tensors import CurvatureTensor, frame_label, label_name, zero_threshold
 
 #: calibrated sign relating reported curvature components to g(R(A,B)C, D)
 CURVATURE_COMPONENT_SIGN = -1.0
@@ -213,9 +213,9 @@ def dualize(eqs: ComplexStructureEquations) -> BracketTable:
 
     worst, triple = table.jacobi_residual()
     if worst > JACOBI_TOL:
-        labels = tuple(FrameIndex.from_flat(x, n) for x in triple)
+        labels = ", ".join(label_name(frame_label(x, n)) for x in triple)
         raise IntegrabilityError(
-            f"Jacobi identity fails with residual {worst:.3e} at triple {labels}")
+            f"Jacobi identity fails with residual {worst:.3e} at triple ({labels})")
     _check_reconstruction(eqs, table)
     return table
 
@@ -450,16 +450,15 @@ def connection(kind: ConnectionKind,
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature(conn: ConnectionCoefficients, bracket: BracketTable
-              ) -> CurvatureTensor | list[CurvatureTensor]:
+def curvature(conn: ConnectionCoefficients, bracket: BracketTable) -> CurvatureTensor:
     """Lowered curvature of an invariant connection.
 
     Components are ``CURVATURE_COMPONENT_SIGN * g(R(e_A, e_B) e_C, e_D)``
     with ``R(X, Y) = [grad_X, grad_Y] - grad_[X,Y]``, which is ``T[B, C, A,
     D] - T[A, C, B, D] - f[A, B, E] L[E, C, D]`` in the lowered coefficients
     ``L``, with the product ``T[(B, C), (A, D)] = gamma[(B, C), E] L[A, E,
-    D]``.  A connection over a stack of metrics gives the list of their
-    curvatures, computed as one stack.
+    D]``.  A connection over a stack of metrics gives the stack of their
+    curvatures.
     """
     N, lead = 2 * conn.n, conn.gamma.shape[:-3]
     # signed on the small factor, formed in place: fresh (2n)^4 temporaries page-fault
@@ -469,16 +468,14 @@ def curvature(conn: ConnectionCoefficients, bracket: BracketTable
     direct = (bracket.f.reshape(N * N, N) @ low.reshape(lead + (N, N * N))).reshape(T.shape)
     np.subtract(np.moveaxis(T, -2, -4), direct, out=direct)
     direct -= T.swapaxes(-3, -2)
-    tensors = [CurvatureTensor(n=conn.n, connection=conn.kind.value, data=d)
-               for d in direct.reshape((-1,) + direct.shape[-4:])]
-    return tensors if conn.gamma.ndim > 3 else tensors[0]
+    return CurvatureTensor(n=conn.n, connection=conn.kind.value, data=direct)
 
 
 @dataclass(frozen=True)
 class CplxReport:
     satisfied: bool
     max_violation: float
-    witness: tuple[FrameIndex, ...] | None
+    witness: tuple[int, int, int, int] | None
     tolerance: float
 
     @property
@@ -500,21 +497,19 @@ def _pure_type_offsets(n: int) -> np.ndarray:
     return offsets
 
 
-def check_cplx(omega: CurvatureTensor | Sequence[CurvatureTensor]
-               ) -> CplxReport | list[CplxReport]:
+def check_cplx(omega: CurvatureTensor) -> CplxReport | list[CplxReport]:
     """Check that every component with a pure-type index pair vanishes.
 
     A pair is pure when both slots are holomorphic or both antiholomorphic;
     the first and the second pair of the curvature are examined.  The
-    witness is the first component in the order of ``_pure_type_offsets``
-    within 1e-12 relative of the largest violation, so that rounding does
-    not choose between equal partners such as ``Z2 Z3 Z1 Z2~`` and ``Z2 Z3
-    Z2~ Z1``.  A list of tensors of one n gives the list of their reports.
+    witness holds the signed labels, as ``entry`` takes them, of the first
+    component in the order of ``_pure_type_offsets`` within 1e-12 relative
+    of the largest violation, so that rounding does not choose between equal
+    partners such as ``(2, 3, 1, -2)`` and ``(2, 3, -2, 1)``.  A stack of
+    tensors gives the list of their reports.
     """
-    single = isinstance(omega, CurvatureTensor)
-    tensors = [omega] if single else list(omega)
-    n = tensors[0].n
-    moduli = np.abs(np.stack([t.data for t in tensors])).reshape(len(tensors), -1)
+    n = omega.n
+    moduli = np.abs(omega.data).reshape(-1, (2 * n) ** 4)
     offsets = _pure_type_offsets(n)
     pure = moduli[:, offsets]
     worst = pure.max(axis=1)
@@ -525,10 +520,10 @@ def check_cplx(omega: CurvatureTensor | Sequence[CurvatureTensor]
         tol = zero_threshold(magnitude)
         satisfied = violation <= tol
         witness = None if satisfied else tuple(
-            FrameIndex.from_flat(int(x), n) for x in np.unravel_index(at, (2 * n,) * 4))
+            frame_label(int(x), n) for x in np.unravel_index(at, (2 * n,) * 4))
         reports.append(CplxReport(satisfied=satisfied, max_violation=violation,
                                   witness=witness, tolerance=tol))
-    return reports[0] if single else reports
+    return reports if omega.data.ndim == 5 else reports[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .invariant import check_cplx
-from .tensors import CurvatureTensor
+from .tensors import CurvatureTensor, label_name
 
 #: verdict tolerance as a fraction of the tensor magnitude
 VERDICT_RTOL = 1e-7
@@ -48,7 +48,8 @@ class CplxViolationError(ValueError):
         self.report = report
         super().__init__(
             f"curvature does not satisfy the pure-type vanishing condition "
-            f"(violation {report.max_violation:.3e} at {report.witness})")
+            f"(violation {report.max_violation:.3e} at "
+            f"({', '.join(map(label_name, report.witness))}))")
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,7 @@ def _alternate(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
     return value, xi, nu, stationary
 
 
-def _mixed_block(omega: CurvatureTensor | np.ndarray) -> np.ndarray:
-    if isinstance(omega, CurvatureTensor):
-        return omega.mixed_block()
-    block = np.asarray(omega, dtype=complex)
-    if block.ndim != 4 or len(set(block.shape)) != 1:
-        raise ValueError("mixed block must be an (n, n, n, n) array")
-    return block
-
-
-def classify(omega: CurvatureTensor | np.ndarray | Sequence,
-             starts: int = DEFAULT_STARTS,
+def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
              seed: int | Sequence[int] = 0):
     """Classify the sign of the bisectional biquadratic of a curvature tensor.
 
@@ -222,51 +213,54 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
     searched from the same ``starts`` random start pairs, and from two
     spectral start pairs each (``_spectral_starts``), all in one batch.
 
-    A list or tuple of tensors of one n, with a sequence of as many seeds,
-    gives the list of their classifications, each equal to classifying the
-    tensor alone with its seed; the starts of all of them form one batch.
+    A stacked tensor, or a (T, n, n, n, n) stack of blocks, with a sequence
+    of T seeds gives the list of their classifications, each equal to
+    classifying the tensor alone with its seed; the starts of all of them
+    form one batch.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if not isinstance(omega, (list, tuple)):
-        return classify([omega], starts, [seed])[0]
-    tensors = [o for o in omega if isinstance(o, CurvatureTensor)]
-    for report in (check_cplx(tensors) if tensors else []):
-        if not report.satisfied:
-            raise CplxViolationError(report)
-    blocks = [_mixed_block(o) for o in omega]
+    if isinstance(omega, CurvatureTensor):
+        reports = check_cplx(omega)
+        for report in reports if isinstance(reports, list) else [reports]:
+            if not report.satisfied:
+                raise CplxViolationError(report)
+        blocks = omega.mixed_block()
+    elif isinstance(omega, np.ndarray):
+        blocks = omega.astype(complex, copy=False)
+    else:
+        raise TypeError(f"classify takes a CurvatureTensor or an array, not {type(omega)}")
+    single = blocks.ndim == 4
+    if single:
+        blocks, seed = blocks[None], [seed]
+    if blocks.ndim != 5 or len(set(blocks.shape[1:])) != 1:
+        raise ValueError("mixed block must be an (n, n, n, n) array or a stack of them")
     if len(seed) != len(blocks):
         raise ValueError(f"{len(blocks)} tensors need as many seeds, got {len(seed)}")
-    if len({b.shape[0] for b in blocks}) > 1:
-        raise ValueError("a batch must hold tensors of one dimension n")
+    n = blocks.shape[-1]
+    magnitudes = np.abs(blocks).max(axis=(1, 2, 3, 4))
+    live = np.flatnonzero(~(magnitudes <= VERDICT_RTOL))
+    zero = np.zeros(n, dtype=complex)
+    results = [SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero), (zero, zero),
+                                  VERDICT_RTOL * float(m), float(m), True)
+               for m in magnitudes]
+    if not live.size:
+        return results[0] if single else results
     # per tensor, rows [0, S) minimize and [S, 2S) maximize from the random
     # starts; the four spectral rows follow, two minimizing, then two maximizing
     minimize = np.concatenate([np.arange(2 * starts) < starts, [True, True, False, False]])
-    results: list[SignClassification | None] = []
-    live = []                   # (index, block, magnitude, xi0, nu0) per non-flat tensor
-    for block, q_seed in zip(blocks, seed):
-        n = block.shape[0]
-        magnitude = float(np.max(np.abs(block)))
-        if magnitude <= 0.0 or magnitude <= VERDICT_RTOL:
-            zero = np.zeros(n, dtype=complex)
-            results.append(SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero),
-                                              (zero, zero), VERDICT_RTOL * magnitude,
-                                              magnitude, True))
-            continue
-        live.append((len(results), block, magnitude, *_random_starts(q_seed, starts, n)))
-        results.append(None)
-    if not live:
-        return results
-    stack = np.stack([block for _, block, *_ in live])
+    stack = blocks[live]
+    xi0, nu0 = zip(*(_random_starts(seed[q], starts, n) for q in live))
     xi_s, nu_s = _spectral_starts(stack)
     values, xis, nus, ok = _alternate(
         stack, np.repeat(np.arange(len(live)), len(minimize)),
-        np.concatenate([np.concatenate([xi, xi, s]) for (*_, xi, _), s in zip(live, xi_s)]),
-        np.concatenate([np.concatenate([nu, nu, s]) for (*_, nu), s in zip(live, nu_s)]),
+        np.concatenate([np.concatenate([xi, xi, s]) for xi, s in zip(xi0, xi_s)]),
+        np.concatenate([np.concatenate([nu, nu, s]) for nu, s in zip(nu0, nu_s)]),
         minimize=np.tile(minimize, len(live)))
     min_rows = np.flatnonzero(minimize)
     max_rows = np.flatnonzero(~minimize)
-    for w, (q, block, magnitude, _, _) in enumerate(live):
+    for w, (q, block) in enumerate(zip(live, stack)):
+        magnitude = float(magnitudes[q])
         own = slice(w * len(minimize), (w + 1) * len(minimize))
         vals, xi, nu, tol = values[own], xis[own], nus[own], VERDICT_RTOL * magnitude
         # first best wins, as argmin/argmax return the first extreme, so a
@@ -294,7 +288,7 @@ def classify(omega: CurvatureTensor | np.ndarray | Sequence,
             verdict = Verdict.INDETERMINATE
         results[q] = SignClassification(verdict, best_min, best_max, min_wit, max_wit,
                                         tol, magnitude, stationary)
-    return results
+    return results[0] if single else results
 
 
 def gamma_threshold(n: int) -> float:

@@ -1,13 +1,12 @@
-"""Frame index labels, the curvature container and the zero threshold.
+"""Signed frame labels, the curvature container and the zero threshold.
 
 A frame of complex dimension ``n`` is ordered ``(Z_1, .., Z_n, conj Z_1, ..,
-conj Z_n)``.  A slot is labelled holomorphic or antiholomorphic by its
-position in that order (holomorphic block first).
+conj Z_n)``.  A slot is named by a signed 1-based label: ``+p`` is ``Z_p``
+and ``-p`` is ``conj Z_p``, printed ``Zp`` and ``Zp~``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,64 +21,23 @@ def zero_threshold(magnitude: float) -> float:
     return ZERO_RTOL * (1.0 + float(magnitude))
 
 
-class IndexKind(enum.Enum):
-    HOLOMORPHIC = "holomorphic"
-    ANTIHOLOMORPHIC = "antiholomorphic"
-
-
-@dataclass(frozen=True)
-class FrameIndex:
-    """One slot label: position 1..n in the holomorphic or antiholomorphic family."""
-
-    kind: IndexKind
-    position: int
-
-    def __post_init__(self) -> None:
-        if self.position < 1:
-            raise ValueError(f"position must be >= 1, got {self.position}")
-
-    @property
-    def is_holomorphic(self) -> bool:
-        return self.kind is IndexKind.HOLOMORPHIC
-
-    def conjugate(self) -> "FrameIndex":
-        other = (IndexKind.ANTIHOLOMORPHIC if self.is_holomorphic
-                 else IndexKind.HOLOMORPHIC)
-        return FrameIndex(other, self.position)
-
-    def flat(self, n: int) -> int:
-        """Offset of this label inside the frame of complex dimension n."""
-        if self.position > n:
-            raise ValueError(f"position {self.position} out of range 1..{n}")
-        off = self.position - 1
-        return off if self.is_holomorphic else n + off
-
-    @classmethod
-    def from_flat(cls, flat: int, n: int) -> "FrameIndex":
-        if not 0 <= flat < 2 * n:
-            raise ValueError(f"flat index {flat} out of range for n={n}")
-        if flat < n:
-            return cls(IndexKind.HOLOMORPHIC, flat + 1)
-        return cls(IndexKind.ANTIHOLOMORPHIC, flat - n + 1)
-
-    def __repr__(self) -> str:  # Z3 / Z3~ style, keeps test output short
-        tag = "" if self.is_holomorphic else "~"
-        return f"Z{self.position}{tag}"
-
-
-def hol(position: int) -> FrameIndex:
-    return FrameIndex(IndexKind.HOLOMORPHIC, position)
-
-
-def bar(position: int) -> FrameIndex:
-    return FrameIndex(IndexKind.ANTIHOLOMORPHIC, position)
-
-
-def frame_index_from_signed(label: int, n: int) -> FrameIndex:
-    """Signed 1-based label: +p means Z_p, -p means conj(Z_p)."""
+def frame_offset(label: int, n: int) -> int:
+    """Offset of a signed label inside the frame of complex dimension n."""
     if label == 0 or abs(label) > n:
         raise ValueError(f"signed label {label} out of range for n={n}")
-    return hol(label) if label > 0 else bar(-label)
+    return label - 1 if label > 0 else n - label - 1
+
+
+def frame_label(offset: int, n: int) -> int:
+    """The signed label at an offset of the frame: ``frame_offset``'s inverse."""
+    if not 0 <= offset < 2 * n:
+        raise ValueError(f"flat index {offset} out of range for n={n}")
+    return offset + 1 if offset < n else n - offset - 1
+
+
+def label_name(label: int) -> str:
+    """``Z3`` for the label 3, ``Z3~`` for -3."""
+    return f"Z{abs(label)}{'' if label > 0 else '~'}"
 
 
 class TensorError(ValueError):
@@ -88,11 +46,14 @@ class TensorError(ValueError):
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Lowered curvature 4-tensor over the complexified frame.
+    """Lowered curvature 4-tensor over the complexified frame, or a stack of
+    them.
 
-    ``data[A, B, C, D]`` is the component on ``(e_A, e_B, e_C, e_D)`` where the
-    first pair spans the curvature plane.  ``connection`` records provenance
-    ("levi-civita", "bismut" or "chern").
+    ``data[..., A, B, C, D]`` is the component on ``(e_A, e_B, e_C, e_D)``
+    where the first pair spans the curvature plane.  A stack has one leading
+    axis, one tensor per metric; ``len``, indexing and iteration give its
+    tensors.  ``connection`` records provenance ("levi-civita", "bismut" or
+    "chern").
     """
 
     n: int
@@ -100,17 +61,28 @@ class CurvatureTensor:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.shape != (2 * self.n,) * 4:
-            raise TensorError(f"curvature data must have shape {(2 * self.n,) * 4}")
+        arr = np.array(self.data, dtype=complex)
+        if arr.ndim not in (4, 5) or arr.shape[-4:] != (2 * self.n,) * 4:
+            raise TensorError(f"curvature data must have shape {(2 * self.n,) * 4} or a stack")
         if not np.all(np.isfinite(arr.view(float))):
             raise TensorError("curvature entries must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
+    def __len__(self) -> int:
+        if self.data.ndim == 4:
+            raise TypeError("a single curvature tensor has no length")
+        return len(self.data)
+
+    def __getitem__(self, k: int) -> "CurvatureTensor":
+        return CurvatureTensor(self.n, self.connection, self.data[k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
     @property
     def magnitude(self) -> float:
+        """The largest modulus of a component, over the whole stack."""
         return float(np.max(np.abs(self.data)))
 
     def entry(self, *spec: int) -> complex:
@@ -118,15 +90,15 @@ class CurvatureTensor:
         slot tuple (Z_1, conj Z_1, Z_3, conj Z_3)."""
         if len(spec) != 4:
             raise TensorError("curvature entries take exactly four labels")
-        flat = tuple(frame_index_from_signed(s, self.n).flat(self.n) for s in spec)
-        return complex(self.data[flat])
+        if self.data.ndim != 4:
+            raise TensorError("entry reads one tensor; index the stack first")
+        return complex(self.data[tuple(frame_offset(s, self.n) for s in spec)])
 
     def mixed_block(self) -> np.ndarray:
-        """The (n, n, n, n) block ``[i, j, k, l] -> entry(i+1, -(j+1), k+1, -(l+1))``."""
-        n = self.n
-        h = slice(0, n)
-        a = slice(n, 2 * n)
-        return np.array(self.data[h, a, h, a])
+        """The (n, n, n, n) block ``[i, j, k, l] -> entry(i+1, -(j+1), k+1,
+        -(l+1))``, or the (T, n, n, n, n) stack of the blocks of a stack."""
+        h, a = slice(0, self.n), slice(self.n, 2 * self.n)
+        return np.array(self.data[..., h, a, h, a])
 
 
 def curvature_from_mixed_block(block: np.ndarray, n: int, connection: str
@@ -142,8 +114,7 @@ def curvature_from_mixed_block(block: np.ndarray, n: int, connection: str
     if block.shape != (n,) * 4:
         raise TensorError(f"mixed block must have shape {(n,) * 4}")
     data = np.zeros((2 * n,) * 4, dtype=complex)
-    h = slice(0, n)
-    a = slice(n, 2 * n)
+    h, a = slice(0, n), slice(n, 2 * n)
     data[h, a, h, a] = block
     data[a, h, h, a] = -np.einsum("ijkl->jikl", block)
     data[h, a, a, h] = -np.einsum("ijkl->ijlk", block)

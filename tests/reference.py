@@ -49,7 +49,7 @@ from hermflow.invariant import (_DP_A, _DP_E, CURVATURE_COMPONENT_SIGN, FLOW_ATO
                                 _coefficient_rates, connection, dualize,
                                 frame_metric, sample_admissible_metric)
 from hermflow.positivity import classify
-from hermflow.tensors import CurvatureTensor, FrameIndex, zero_threshold
+from hermflow.tensors import CurvatureTensor, frame_label, zero_threshold
 
 # ---------------------------------------------------------------------------
 # the einsum connections and curvature
@@ -348,7 +348,7 @@ def check_cplx_alone(omega: CurvatureTensor) -> CplxReport:
     for blk in blocks:
         near = np.argwhere(np.abs(data[blk]) >= (1 - 1e-12) * max_violation)
         if len(near):
-            witness = tuple(FrameIndex.from_flat(s.start + int(i), n)
+            witness = tuple(frame_label(s.start + int(i), n)
                             for s, i in zip(blk, near[0]))
             break
     tol = zero_threshold(omega.magnitude)

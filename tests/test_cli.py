@@ -96,6 +96,20 @@ def test_infinite_hopf_parameters_exit_2(capsys, argv):
     assert err.startswith("error: alpha and beta must be finite")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,err", [
+    (["hopf", "--n", "2", "--alpha", "1", "--beta", "1e308", "--point", "1,0"],
+     "error: curvature block is not finite\n"),
+    (["hopf", "--n", "2", "--alpha", "1", "--beta", "8e307", "--point", "0.6,0.8",
+      "--xi", "1,1", "--nu", "1,-1"], "error: bisectional value is not finite\n"),
+    (["classify", "--hopf", "2,1,1e308"], "error: curvature entries must be finite\n"),
+], ids=["block-overflow", "bisectional-overflow", "classify-hopf-overflow"])
+def test_huge_finite_hopf_parameters_exit_2(capsys, argv, err):
+    # these used to print -Infinity and NaN, which is not JSON, or to warn
+    # of the overflow
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_hopf_verify_flag(capsys):
     code, out, _ = run(capsys, "hopf", "--n", "3", "--alpha", "1",
                        "--beta", "0.4", "--point", "0.5,0.2,1", "--verify")

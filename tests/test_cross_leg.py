@@ -30,12 +30,21 @@ SWAP = [1, 0]
 GAMMAS = (-0.75, -0.3, 0.0, 0.4, 3.0)
 
 
+def _frame_metric(G):
+    n = len(G)
+    g = np.zeros((2 * n, 2 * n), dtype=complex)
+    g[:n, n:], g[n:, :n] = G, G.T
+    return g
+
+
+def _invariant_curvature(eqs, kind, G):
+    bracket = eqs.bracket
+    return curvature(connection(kind, bracket, _frame_metric(G)), bracket)
+
+
 def _invariant_bismut(alpha, beta):
     G = np.diag([alpha / 4, (alpha + beta) / 4]).astype(complex)
-    g = np.zeros((4, 4), dtype=complex)
-    g[:2, 2:], g[2:, :2] = G, G.T
-    bracket = U1_SU2.bracket
-    return curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
+    return _invariant_curvature(U1_SU2, ConnectionKind.BISMUT, G)
 
 
 def _hopf_block_in_frame(h):
@@ -76,3 +85,41 @@ def test_the_two_legs_give_opposite_verdicts(gamma):
     else:
         assert (invariant_verdict, hopf_verdict) == (Verdict.NON_NEGATIVE,
                                                      Verdict.NON_POSITIVE)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_invariant_chern_block_is_the_signed_hopf_chern_block(gamma):
+    for alpha in (0.5, 1.0, 1.7):
+        h = hopf.HopfMetric(2, alpha, gamma * alpha)
+        G = np.diag([alpha / 4, (alpha + h.beta) / 4]).astype(complex)
+        got = _invariant_curvature(U1_SU2, ConnectionKind.CHERN, G).mixed_block()
+        lowered = np.einsum("ijkm,ml->ijkl", hopf.chern_data_at(h, POINT).curvature,
+                            hopf.metric_at(h, POINT))
+        want = CURVATURE_COMPONENT_SIGN / 16 * lowered[np.ix_(SWAP, SWAP, SWAP, SWAP)]
+        scale = 1.0 + np.max(np.abs(got))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (alpha, gamma)
+
+
+#: CH^2 as the group of d psi1 = psi^{12} / 4 + psi^{1 2~} / 4 and
+#: d psi2 = psi^{1 1~} / 2 + psi^{2 2~} / 2, Kaehler at G = I
+CH2 = ComplexStructureEquations.from_terms(
+    2, [(1, 1, 2, 0.25)], [(1, 1, 2, 0.25), (2, 1, 1, 0.5), (2, 2, 2, 0.5)])
+#: H^2 as the ax+b group, d psi1 = psi^{1 1~} / 2, Kaehler at every G = [[a]]
+H2 = ComplexStructureEquations.from_terms(1, [], [(1, 1, 1, 0.5)])
+
+
+def test_the_three_connections_agree_on_ch2():
+    omegas = [_invariant_curvature(CH2, kind, np.eye(2, dtype=complex))
+              for kind in ConnectionKind]
+    for omega in omegas[1:]:
+        assert np.array_equal(omega.data, omegas[0].data)
+    for omega in omegas:
+        assert classify(omega, starts=16).verdict is Verdict.NON_NEGATIVE
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_the_three_connections_agree_on_h2(a):
+    for kind in ConnectionKind:
+        omega = _invariant_curvature(H2, kind, np.array([[a]], dtype=complex))
+        assert omega.entry(1, -1, 1, -1) == a / 2, kind
+        assert classify(omega, starts=16).verdict is Verdict.NON_NEGATIVE, kind

@@ -16,6 +16,7 @@ from hermflow.invariant import (MetricCoefficients, hcf_tangent,
                                 integrate_invariant_flows, q_terms,
                                 sample_admissible_metric)
 from hermflow.positivity import classify
+from hermflow.tensors import CurvatureTensor
 from tests import reference
 from tests.conftest import random_point
 
@@ -229,7 +230,8 @@ def test_batched_classify_equals_per_tensor_on_checkpoints(rng):
                                                 dt=2e-3, checkpoints=2):
             tensors += [bismut_curvature(eqs, m) for m in result.metrics]
     seeds = [int(s) for s in rng.integers(0, 2 ** 31, len(tensors))]
-    batch = classify(tensors, starts=8, seed=seeds)
+    batch = classify(CurvatureTensor(3, "bismut", np.stack([t.data for t in tensors])),
+                     starts=8, seed=seeds)
     assert len(batch) == len(tensors)
     for got, omega, seed in zip(batch, tensors, seeds):
         _assert_same_classification(got, classify(omega, starts=8, seed=seed))
@@ -242,20 +244,21 @@ def _hopf_block(n, gamma, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_batched_classify_equals_per_tensor_on_hopf(n, rng):
-    blocks = [_hopf_block(n, gamma, rng) for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)]
+    blocks = np.stack([_hopf_block(n, gamma, rng) for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)])
     seeds = list(range(len(blocks)))
     batch = classify(blocks, starts=16, seed=seeds)
     for got, block, seed in zip(batch, blocks, seeds):
         _assert_same_classification(got, classify(block, starts=16, seed=seed))
 
 
-def test_batched_classify_refuses_mixed_dimensions(rng):
-    blocks = [_hopf_block(2, 0.3, rng), _hopf_block(3, 0.3, rng)]
-    with pytest.raises(ValueError, match="one dimension"):
-        classify(blocks, seed=[1, 2])
+def test_batched_classify_needs_a_seed_per_tensor(rng):
+    blocks = np.stack([_hopf_block(2, 0.3, rng)])
     with pytest.raises(ValueError, match="seeds"):
-        classify(blocks[:1], seed=[1, 2])
-    assert classify([], seed=[]) == []
+        classify(blocks, seed=[1, 2])
+    assert classify(blocks[:0], seed=[]) == []
+    # a batch is a stack, not a list
+    with pytest.raises(TypeError):
+        classify(list(blocks), seed=[1])
 
 
 # --- the tracer's view of the flow-preservation check ----------------------

@@ -329,6 +329,7 @@ def test_classify_equals_the_per_start_draw_on_table3_sign_samples(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_classify_equals_the_per_start_draw_on_hopf(n, monkeypatch, rng):
-    blocks = [hopf.bismut_mixed_block(hopf.HopfMetric(n, 1.0, gamma), random_point(rng, n))
-              for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)]
+    blocks = np.stack([hopf.bismut_mixed_block(hopf.HopfMetric(n, 1.0, gamma),
+                                               random_point(rng, n))
+                       for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)])
     _assert_same_with_per_start_draw(monkeypatch, blocks, 64, list(range(len(blocks))))

@@ -5,7 +5,7 @@ from hermflow.catalog import CASES, instantiate
 from hermflow.invariant import (ComplexStructureEquations, IntegrabilityError,
                                 MetricCoefficients, MetricError, dualize,
                                 frame_metric, sample_admissible_metric)
-from hermflow.tensors import bar, hol
+from hermflow.tensors import frame_offset
 from tests.reference import conjugation_symmetry_residual
 
 
@@ -71,9 +71,9 @@ def test_json_schema_shape():
 
 def test_diagonal_metric_block():
     g = frame_metric(MetricCoefficients(1.0, 1.0, 1.0))
-    assert g[hol(1).flat(3), bar(1).flat(3)] == pytest.approx(0.5)
-    assert g[hol(1).flat(3), hol(2).flat(3)] == 0.0
-    assert g[bar(2).flat(3), hol(2).flat(3)] == pytest.approx(0.5)
+    assert g[frame_offset(1, 3), frame_offset(-1, 3)] == pytest.approx(0.5)
+    assert g[frame_offset(1, 3), frame_offset(2, 3)] == 0.0
+    assert g[frame_offset(-2, 3), frame_offset(2, 3)] == pytest.approx(0.5)
 
 
 def test_metric_rejects_u_too_large():

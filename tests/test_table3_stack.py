@@ -20,6 +20,7 @@ from hermflow.catalog import (CASE_INDEX, CASES, SCAN_CHUNK, _sample_slice,
                               regenerate_table3, render_markdown)
 from hermflow.invariant import check_cplx, dualize, sample_admissible_metric
 from hermflow.positivity import classify
+from hermflow.tensors import CurvatureTensor
 from tests import reference
 
 # more than one chunk, the last one short
@@ -104,7 +105,8 @@ def test_classify_checks_every_tensor_of_a_batch(unit_metric):
     fine = bismut_curvature(instantiate("Np", rho=1), unit_metric)
     bad = bismut_curvature(instantiate("Sv"), unit_metric)
     with pytest.raises(positivity.CplxViolationError):
-        classify([fine, bad], starts=4, seed=[0, 1])
+        classify(CurvatureTensor(3, "bismut", np.stack([fine.data, bad.data])),
+                 starts=4, seed=[0, 1])
 
 
 @functools.cache

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hermflow import hopf
-from hermflow.invariant import MetricCoefficients
-from hermflow.tensors import (CurvatureTensor, FrameIndex, TensorError, bar,
-                              curvature_from_mixed_block, hol, zero_threshold)
+from hermflow.catalog import CASES, bismut_curvature, instantiate
+from hermflow.invariant import MetricCoefficients, check_cplx, sample_admissible_metric
+from hermflow.tensors import (CurvatureTensor, TensorError, curvature_from_mixed_block,
+                              frame_label, frame_offset, label_name, zero_threshold)
 from tests.reference import chern_curvature_lowered
 
 
@@ -35,15 +36,34 @@ def test_max_abs_component_selector_sees_kinds(iwasawa, unit_metric):
     assert np.max(np.abs(omega.data[:3, :3])) < 1e-12
 
 
-def test_frame_index_round_trip():
-    for flat in range(6):
-        idx = FrameIndex.from_flat(flat, 3)
-        assert idx.flat(3) == flat
-    assert hol(2).conjugate() == bar(2)
-    with pytest.raises(ValueError):
-        hol(0)
-    with pytest.raises(ValueError):
-        hol(4).flat(3)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_labels_round_trip_every_frame_offset(n):
+    for offset in range(2 * n):
+        label = frame_label(offset, n)
+        assert frame_offset(label, n) == offset
+        position = offset % n + 1
+        assert label_name(label) == (f"Z{position}" if offset < n else f"Z{position}~")
+    for label in (0, n + 1, -n - 1):
+        with pytest.raises(ValueError, match="out of range"):
+            frame_offset(label, n)
+    for offset in (-1, 2 * n):
+        with pytest.raises(ValueError, match="out of range"):
+            frame_label(offset, n)
+
+
+def test_a_witness_names_its_component():
+    violated = 0
+    for case in CASES:
+        rng = np.random.default_rng(0)
+        omegas = bismut_curvature(instantiate(case.family, **case.params),
+                                  [sample_admissible_metric(rng) for _ in range(50)])
+        for omega, report in zip(omegas, check_cplx(omegas)):
+            if report.satisfied:
+                continue
+            violated += 1
+            defect = report.max_violation - abs(omega.entry(*report.witness))
+            assert defect <= 1e-12 * report.max_violation, (case.key, report.witness)
+    assert violated > 100
 
 
 def test_tensor_rejects_nonfinite():
