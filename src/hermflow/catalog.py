@@ -25,7 +25,7 @@ from .invariant import (ComplexStructureEquations, ConnectionKind,
                         MetricCoefficients, check_cplx, connection, curvature,
                         frame_metric, integrate_invariant_flows,
                         sample_admissible_metric)
-from .positivity import classify
+from .positivity import classify, sign_verdicts
 from .tensors import CurvatureTensor
 
 MIN_SAMPLES = 50
@@ -559,7 +559,8 @@ def classify_case(case: ClassificationCase,
 
     Each phase draws all of its metrics first, in the order of the rng, and
     then scans them in stacks of ``SCAN_CHUNK``; the sign samples are
-    classified in one stack.
+    classified in one stack, through ``sign_verdicts``, as only their
+    verdicts are kept.
     """
     eqs = instantiate(case.family, **case.params)
     detail: dict = {}
@@ -612,7 +613,7 @@ def classify_case(case: ClassificationCase,
             metrics.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
         omegas = bismut_curvature(eqs, metrics)
-        verdicts = {r.verdict.value for r in classify(omegas, starts=starts, seed=seeds)}
+        verdicts = {v.value for v in sign_verdicts(omegas, starts=starts, seed=seeds)}
         for m, omega in zip(metrics, omegas):
             witnesses.extend(_witnesses(case, m, omega))
         verdict = verdicts.pop() if len(verdicts) == 1 else "mixed:" + ",".join(sorted(verdicts))

@@ -150,6 +150,8 @@ def cmd_families(args) -> int:
 
 def cmd_hopf(args) -> int:
     h = hopf.HopfMetric(args.n, args.alpha, args.beta)
+    if not math.isfinite(h.gamma):
+        raise CliError("gamma = beta / alpha is not finite")
     z = parse_vector(args.point, args.n)
     block = hopf.bismut_mixed_block(h, z)
     with np.errstate(over="ignore"):

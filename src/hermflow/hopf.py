@@ -19,6 +19,7 @@ component formulas produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,29 @@ class HopfMetric:
         return self.beta / self.alpha
 
 
+#: the closed forms divide by powers of ``|z|^2`` up to ``|z|^8``
+#: (``u_beta_at``), so a point is taken where that is a finite normal double
+_SCALE_RANGE = (float(np.finfo(float).tiny), float(np.finfo(float).max))
+_NORM_RANGE = (_SCALE_RANGE[0] ** 0.125, _SCALE_RANGE[1] ** 0.125)
+
+
 def _check_point(h: HopfMetric, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape != (h.n,):
         raise ValueError(f"point must have {h.n} complex coordinates")
-    if np.linalg.norm(z) == 0:
+    if not z.any():
         raise ValueError("the metric family lives on C^n minus the origin")
+    # |z|^2 and its powers as the closed forms compute them
+    n2 = float(np.vdot(z, z).real)
+    try:
+        scale = n2 ** 4
+    except OverflowError:
+        scale = math.inf
+    if not _SCALE_RANGE[0] <= scale <= _SCALE_RANGE[1]:
+        raise ValueError(
+            f"point norm {math.hypot(*z.real, *z.imag):.3g} is outside "
+            f"[{_NORM_RANGE[0]:.3g}, {_NORM_RANGE[1]:.3g}], where |z|^8 is a "
+            f"finite normal double")
     return z
 
 

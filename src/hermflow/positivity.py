@@ -6,7 +6,9 @@ vectors.  Freezing one argument leaves a Hermitian eigenvalue problem, so
 the extremes are located by alternating exact eigen-minimization (resp.
 maximization) from many random starts and from the extreme eigenvectors
 of the form's two Hermitian matrices; witnesses are returned and
-re-certified by direct evaluation.
+re-certified by direct evaluation.  ``sign_verdicts`` gives the same
+verdicts, and skips the search for a tensor whose start values already
+straddle the tolerance by more than the search could undo.
 """
 
 from __future__ import annotations
@@ -151,6 +153,18 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 ROW_CHUNK = 512
 
 
+def _row_values(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
+                nu: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The biquadratic of ``blocks[owner[r]]`` at row ``r`` of the (R, n)
+    stacks ``xi``, ``nu``, gathered ``ROW_CHUNK`` rows at a time; ``size[r]``
+    is the magnitude of row ``r``'s block."""
+    value = np.empty(len(owner))
+    for at in range(0, len(owner), ROW_CHUNK):
+        part = slice(at, at + ROW_CHUNK)
+        value[part] = _biquadratic_rows(blocks[owner[part]], xi[part], nu[part], size[part])
+    return value
+
+
 def _alternate(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
                nu: np.ndarray, minimize: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -168,10 +182,7 @@ def _alternate(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
     # eigh and the sums round at the scale of the block, so every check's
     # slack does too
     size = np.max(np.abs(blocks.reshape(len(blocks), -1)), axis=1)[owner]
-    value = np.empty(len(owner))
-    for at in range(0, len(owner), ROW_CHUNK):
-        part = slice(at, at + ROW_CHUNK)
-        value[part] = _biquadratic_rows(blocks[owner[part]], xi[part], nu[part], size[part])
+    value = _row_values(blocks, owner, xi, nu, size)
     xi, nu = xi.copy(), nu.copy()
     stationary = np.zeros(len(value), dtype=bool)
     active = np.arange(len(value))
@@ -203,21 +214,13 @@ def _alternate(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
     return value, xi, nu, stationary
 
 
-def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
-             seed: int | Sequence[int] = 0):
-    """Classify the sign of the bisectional biquadratic of a curvature tensor.
-
-    ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
-    components are then required to vanish; otherwise the call refuses) or a
-    raw mixed block of shape (n, n, n, n).  The minimum and the maximum are
-    searched from the same ``starts`` random start pairs, and from two
-    spectral start pairs each (``_spectral_starts``), all in one batch.
-
-    A stacked tensor, or a (T, n, n, n, n) stack of blocks, with a sequence
-    of T seeds gives the list of their classifications, each equal to
-    classifying the tensor alone with its seed; the starts of all of them
-    form one batch.
-    """
+def _block_stack(omega: CurvatureTensor | np.ndarray, starts: int,
+                 seed: int | Sequence[int]
+                 ) -> tuple[np.ndarray, list, bool, np.ndarray, np.ndarray]:
+    """``omega``'s mixed blocks as a (T, n, n, n, n) stack, with its T seeds,
+    whether ``omega`` was a single tensor, the blocks' magnitudes and the
+    indices of the blocks that are not FLAT; refuses a full-frame tensor
+    whose pure-type components do not vanish, and malformed arguments."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if isinstance(omega, CurvatureTensor):
@@ -237,25 +240,67 @@ def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
         raise ValueError("mixed block must be an (n, n, n, n) array or a stack of them")
     if len(seed) != len(blocks):
         raise ValueError(f"{len(blocks)} tensors need as many seeds, got {len(seed)}")
-    n = blocks.shape[-1]
     magnitudes = np.abs(blocks).max(axis=(1, 2, 3, 4))
-    live = np.flatnonzero(~(magnitudes <= VERDICT_RTOL))
-    zero = np.zeros(n, dtype=complex)
+    return blocks, list(seed), single, magnitudes, np.flatnonzero(~(magnitudes <= VERDICT_RTOL))
+
+
+def _start_rows(blocks: np.ndarray, seeds: list, starts: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start rows of the (T, n, n, n, n) stack ``blocks``, as (T·R, n)
+    stacks (xi, nu) of R rows per tensor, and the (R,) mask of the rows that
+    minimize.  Per tensor, rows [0, S) minimize and [S, 2S) maximize from
+    its seed's ``starts`` random pairs; its four spectral rows follow, two
+    minimizing, then two maximizing."""
+    n = blocks.shape[-1]
+    minimize = np.concatenate([np.arange(2 * starts) < starts, [True, True, False, False]])
+    xi0, nu0 = zip(*(_random_starts(s, starts, n) for s in seeds))
+    xi_s, nu_s = _spectral_starts(blocks)
+    return (np.concatenate([np.concatenate([xi, xi, s]) for xi, s in zip(xi0, xi_s)]),
+            np.concatenate([np.concatenate([nu, nu, s]) for nu, s in zip(nu0, nu_s)]),
+            minimize)
+
+
+def _verdict(best_min: float, best_max: float, tol: float, stationary: bool) -> Verdict:
+    """The sign of a nonzero tensor whose biquadratic reaches ``best_min``
+    and ``best_max``; ``stationary`` says both are local extremes."""
+    if best_min < -tol and best_max > tol:
+        return Verdict.INDEFINITE
+    if not stationary:
+        return Verdict.INDETERMINATE
+    if best_min >= -tol and best_max > tol:
+        return Verdict.NON_NEGATIVE
+    if best_max <= tol and best_min < -tol:
+        return Verdict.NON_POSITIVE
+    # nonzero tensor whose bisectional diagonal vanishes identically
+    return Verdict.INDETERMINATE
+
+
+def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
+             seed: int | Sequence[int] = 0):
+    """Classify the sign of the bisectional biquadratic of a curvature tensor.
+
+    ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
+    components are then required to vanish; otherwise the call refuses) or a
+    raw mixed block of shape (n, n, n, n).  The minimum and the maximum are
+    searched from the same ``starts`` random start pairs, and from two
+    spectral start pairs each (``_spectral_starts``), all in one batch.
+
+    A stacked tensor, or a (T, n, n, n, n) stack of blocks, with a sequence
+    of T seeds gives the list of their classifications, each equal to
+    classifying the tensor alone with its seed; the starts of all of them
+    form one batch.
+    """
+    blocks, seed, single, magnitudes, live = _block_stack(omega, starts, seed)
+    zero = np.zeros(blocks.shape[-1], dtype=complex)
     results = [SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero), (zero, zero),
                                   VERDICT_RTOL * float(m), float(m), True)
                for m in magnitudes]
     if not live.size:
         return results[0] if single else results
-    # per tensor, rows [0, S) minimize and [S, 2S) maximize from the random
-    # starts; the four spectral rows follow, two minimizing, then two maximizing
-    minimize = np.concatenate([np.arange(2 * starts) < starts, [True, True, False, False]])
     stack = blocks[live]
-    xi0, nu0 = zip(*(_random_starts(seed[q], starts, n) for q in live))
-    xi_s, nu_s = _spectral_starts(stack)
+    xi0, nu0, minimize = _start_rows(stack, [seed[q] for q in live], starts)
     values, xis, nus, ok = _alternate(
-        stack, np.repeat(np.arange(len(live)), len(minimize)),
-        np.concatenate([np.concatenate([xi, xi, s]) for xi, s in zip(xi0, xi_s)]),
-        np.concatenate([np.concatenate([nu, nu, s]) for nu, s in zip(nu0, nu_s)]),
+        stack, np.repeat(np.arange(len(live)), len(minimize)), xi0, nu0,
         minimize=np.tile(minimize, len(live)))
     min_rows = np.flatnonzero(minimize)
     max_rows = np.flatnonzero(~minimize)
@@ -275,20 +320,52 @@ def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
             recheck = biquadratic(block, *wit)
             if abs(recheck - val) > 1e-10 * (1.0 + abs(val) + magnitude):
                 raise AssertionError("witness does not reproduce its extreme value")
-        if best_min < -tol and best_max > tol:
-            verdict = Verdict.INDEFINITE
-        elif not stationary:
-            verdict = Verdict.INDETERMINATE
-        elif best_min >= -tol and best_max > tol:
-            verdict = Verdict.NON_NEGATIVE
-        elif best_max <= tol and best_min < -tol:
-            verdict = Verdict.NON_POSITIVE
-        else:
-            # nonzero tensor whose bisectional diagonal vanishes identically
-            verdict = Verdict.INDETERMINATE
-        results[q] = SignClassification(verdict, best_min, best_max, min_wit, max_wit,
+        results[q] = SignClassification(_verdict(best_min, best_max, tol, stationary),
+                                        best_min, best_max, min_wit, max_wit,
                                         tol, magnitude, stationary)
     return results[0] if single else results
+
+
+def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
+                  seed: int | Sequence[int] = 0):
+    """The verdicts of ``classify(omega, starts, seed)``, without refining
+    the extremes of a tensor whose start values already fix its verdict.
+
+    Takes, and refuses, what ``classify`` does, and builds the same start
+    rows.  Each half step of the alternation is an exact eigen-optimum, and
+    ``_alternate`` lets a row move against its direction by at most its
+    monotonicity slack ``1e-12 (1 + |value| + max|block|)`` per step, over
+    at most ``MAX_ALTERNATIONS`` steps; as ``|q| <= n^2 max|block|`` at unit
+    vectors, a row ends within ``margin = MAX_ALTERNATIONS 1e-12 (1 + (n^2
+    + 1) max|block|)`` of where it starts, or better.  A tensor whose best
+    minimizing start lies below ``-tol - margin`` and whose best maximizing
+    start lies above ``tol + margin`` is therefore INDEFINITE in
+    ``classify`` too, and is decided here; only the other tensors go
+    through ``classify``.
+    """
+    blocks, seed, single, magnitudes, live = _block_stack(omega, starts, seed)
+    n = blocks.shape[-1]
+    verdicts = [Verdict.FLAT] * len(blocks)
+    undecided = []
+    if live.size:
+        stack, size = blocks[live], magnitudes[live]
+        xi, nu, minimize = _start_rows(stack, [seed[q] for q in live], starts)
+        owner = np.repeat(np.arange(len(live)), len(minimize))
+        values = _row_values(stack, owner, xi, nu, size[owner]).reshape(len(live), -1)
+        margin = MAX_ALTERNATIONS * 1e-12 * (1.0 + (n * n + 1) * size)
+        for w, q in enumerate(live):
+            verdict = _verdict(values[w, minimize].min() + margin[w],
+                               values[w, ~minimize].max() - margin[w],
+                               VERDICT_RTOL * float(size[w]), stationary=False)
+            if verdict is Verdict.INDEFINITE:
+                verdicts[q] = verdict
+            else:
+                undecided.append(q)
+    if undecided:
+        rest = classify(blocks[undecided], starts, [seed[q] for q in undecided])
+        for q, result in zip(undecided, rest):
+            verdicts[q] = result.verdict
+    return verdicts[0] if single else verdicts
 
 
 def gamma_threshold(n: int) -> float:

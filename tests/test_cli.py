@@ -110,6 +110,48 @@ def test_huge_finite_hopf_parameters_exit_2(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
 
 
+@pytest.mark.filterwarnings("error")
+def test_hopf_refuses_an_infinite_gamma(capsys):
+    # gamma = beta / alpha overflowed and printed "gamma": Infinity, exit 0
+    argv = ["hopf", "--n", "2", "--alpha", "1e-300", "--beta", "1e300", "--point", "1,0"]
+    assert run(capsys, *argv) == (2, "", "error: gamma = beta / alpha is not finite\n")
+    # classify never prints gamma, and keeps its verdict
+    code, out, _ = run(capsys, "classify", "--hopf", "2,1e-300,1e300", "--point", "1,0")
+    assert code == 0 and json.loads(out)["verdict"] == "non_positive"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["hopf", "--n", "2", "--alpha", "1", "--beta", "1", "--point"],
+    ["classify", "--hopf", "2,1,1", "--point"],
+], ids=["hopf", "classify-hopf"])
+@pytest.mark.parametrize("point,norm", [
+    ("1e-170,0", "1e-170"), ("1e-160,0", "1e-160"), ("1e-60,0", "1e-60"),
+    ("1e50,0", "1e+50"), ("1e70,0", "1e+70"), ("1e200,0", "1e+200"),
+    ("1e-200,1e-200i", "1.41e-200"), ("1e308,1e308", "1.41e+308"),
+])
+def test_hopf_points_at_extreme_scales_exit_2(capsys, command, point, norm):
+    # these were refused as the origin, warned of a division by zero or of
+    # an overflowing norm, or died with an OverflowError traceback: the
+    # closed forms divide by |z|^8
+    err = (f"error: point norm {norm} is outside [3.49e-39, 3.4e+38], "
+           f"where |z|^8 is a finite normal double\n")
+    assert run(capsys, *command, point) == (2, "", err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["hopf", "--n", "2", "--alpha", "1", "--beta", "1", "--point"],
+    ["classify", "--hopf", "2,1,1", "--point"],
+], ids=["hopf", "classify-hopf"])
+def test_hopf_points_at_the_ends_of_the_range(capsys, command):
+    assert run(capsys, *command, "0,0") == (
+        2, "", "error: the metric family lives on C^n minus the origin\n")
+    for point in ("4e-39,0", "3e38,0"):
+        code, out, _ = run(capsys, *command, point)
+        assert code == 0 and json.loads(out)
+
+
 def test_hopf_verify_flag(capsys):
     code, out, _ = run(capsys, "hopf", "--n", "3", "--alpha", "1",
                        "--beta", "0.4", "--point", "0.5,0.2,1", "--verify")

@@ -174,22 +174,22 @@ def test_table3_cplx_decisions_stay_far_from_the_threshold_at_200_samples(seed):
 
 def test_classify_case_scans_in_chunks(monkeypatch):
     # the random phase of a 200-sample case makes ceil(200 / SCAN_CHUNK)
-    # curvature calls, not 200, and the sign samples one classify call
-    calls = {"curvature": 0, "classify": 0}
-    curvature, batch = catalog.bismut_curvature, catalog.classify
+    # curvature calls, not 200, and the sign samples one sign_verdicts call
+    calls = {"curvature": 0, "sign_verdicts": 0}
+    curvature, batch = catalog.bismut_curvature, catalog.sign_verdicts
 
     def counting_curvature(*args, **kwargs):
         calls["curvature"] += 1
         return curvature(*args, **kwargs)
 
-    def counting_classify(*args, **kwargs):
-        calls["classify"] += 1
+    def counting_verdicts(*args, **kwargs):
+        calls["sign_verdicts"] += 1
         return batch(*args, **kwargs)
 
     monkeypatch.setattr(catalog, "bismut_curvature", counting_curvature)
-    monkeypatch.setattr(catalog, "classify", counting_classify)
+    monkeypatch.setattr(catalog, "sign_verdicts", counting_verdicts)
     classify_case(CASE_INDEX["Np/iwasawa"], 200, np.random.default_rng(0))
-    assert calls == {"curvature": -(-200 // SCAN_CHUNK) + 1, "classify": 1}
+    assert calls == {"curvature": -(-200 // SCAN_CHUNK) + 1, "sign_verdicts": 1}
 
 
 def test_classify_case_peak_memory_stays_small():
