@@ -25,10 +25,13 @@ from .invariant import (ComplexStructureEquations, ConnectionKind,
                         MetricCoefficients, check_cplx, connection, curvature,
                         frame_metric, integrate_invariant_flows,
                         sample_admissible_metric)
-from .positivity import classify, sign_verdicts
+from .positivity import DEFAULT_STARTS, classify, sign_verdicts
 from .tensors import CurvatureTensor
 
 MIN_SAMPLES = 50
+#: sign samples per classified case, and records per flow after its start
+SIGN_SAMPLES = 8
+FLOW_CHECKPOINTS = 2
 #: metrics per stacked Bismut curvature in the pure-type scans.  The stack's
 #: temporaries grow with it (about 0.1 MB per metric), while the per-call
 #: overhead it saves levels off: on 200 Nii/main metrics a scan takes 88 ms
@@ -403,6 +406,9 @@ def _close(a: complex, b: complex) -> bool:
 
 def _witnesses(case: ClassificationCase, m: MetricCoefficients,
                omega: CurvatureTensor) -> list[WitnessResult]:
+    """Closed-form components of the case at ``m``: on the sign slice of a
+    classified family, and the exact violating components on the constrained
+    slices of the never-satisfied families (Niii, Sii, Siii2, Siv2, Sv)."""
     out: list[WitnessResult] = []
     detG = float(np.linalg.det(m.hermitian_matrix()).real)
     e = omega.entry
@@ -471,22 +477,7 @@ def _witnesses(case: ClassificationCase, m: MetricCoefficients,
         add("Om(1,-1,3,-3)", e(1, -1, 3, -3),
             -0.5 * (abs(A - 1) ** 2 * m.r2 ** 2 * m.s2
                     - ((A - 1) * np.conj(A) - A - 3) * m.r2 * abs(m.u) ** 2) / r2s2u)
-    return out
-
-
-def _never_witness(case: ClassificationCase, m: MetricCoefficients,
-                   omega: CurvatureTensor) -> list[WitnessResult]:
-    """Exact violating components on the constrained slices of the
-    never-satisfied families."""
-    out: list[WitnessResult] = []
-    detG = float(np.linalg.det(m.hermitian_matrix()).real)
-    e = omega.entry
-
-    def add(name, value, reference):
-        out.append(WitnessResult(name, complex(value), complex(reference),
-                                 _close(complex(value), complex(reference))))
-
-    if case.family == "Niii" and m.u == 0 and m.v == 0 and m.z == 0:
+    elif case.family == "Niii" and m.u == 0 and m.v == 0 and m.z == 0:
         delta = case.params["delta"]
         add("Om(1,3,3,-1)", e(1, 3, 3, -1), 0.5 * (m.s2 - delta * 1j * m.t2))
     elif case.family == "Sii" and m.s2 == m.t2 and m.u == 0:
@@ -498,9 +489,7 @@ def _never_witness(case: ClassificationCase, m: MetricCoefficients,
             m.r2 * m.s2 * m.t2 * (m.t2 + 2j * m.u) / (8 * detG))
     elif case.family == "Siv2" and case.params.get("x") == 0 \
             and m.u == 0 and m.v == 0 and m.z == 0:
-        det_xi = -1j * detG
-        add("Om(1,2,3,-2)", e(1, 2, 3, -2),
-            -(m.r2 * m.s2) ** 2 / (8 * det_xi))
+        add("Om(1,2,3,-2)", e(1, 2, 3, -2), -(m.r2 * m.s2) ** 2 / (8 * (-1j * detG)))
     elif case.family == "Sv" and m.v == 0 and m.z == 0:
         add("Om(1,2,3,-1)", e(1, 2, 3, -1),
             -(m.r2 * m.s2 - abs(m.u) ** 2) / (4 * m.t2))
@@ -552,15 +541,13 @@ def _cplx_repr(v: complex) -> str:
 
 def classify_case(case: ClassificationCase,
                   samples: int,
-                  rng: np.random.Generator,
-                  sign_samples: int = 8,
-                  starts: int = 64) -> ClassificationRow:
+                  rng: np.random.Generator) -> ClassificationRow:
     """Recompute one classification row from scratch.
 
     Each phase draws all of its metrics first, in the order of the rng, and
-    then scans them in stacks of ``SCAN_CHUNK``; the sign samples are
-    classified in one stack, through ``sign_verdicts``, as only their
-    verdicts are kept.
+    then scans them in stacks of ``SCAN_CHUNK``; the ``SIGN_SAMPLES`` sign
+    samples are classified in one stack, through ``sign_verdicts``, as only
+    their verdicts are kept.
     """
     eqs = instantiate(case.family, **case.params)
     detail: dict = {}
@@ -602,18 +589,18 @@ def classify_case(case: ClassificationCase,
         for chunk, omegas, reports in scan(metrics):
             for m, omega, report in zip(chunk, omegas, reports):
                 slice_fail &= not report.satisfied
-                witnesses.extend(_never_witness(case, m, omega))
+                witnesses.extend(_witnesses(case, m, omega))
         observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
 
     # (c) sign classification on the slice
     verdict: str | None = None
     if case.expected_verdict is not None:
         metrics, seeds = [], []
-        for _ in range(sign_samples):
+        for _ in range(SIGN_SAMPLES):
             metrics.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
         omegas = bismut_curvature(eqs, metrics)
-        verdicts = {v.value for v in sign_verdicts(omegas, starts=starts, seed=seeds)}
+        verdicts = {v.value for v in sign_verdicts(omegas, DEFAULT_STARTS, seeds)}
         for m, omega in zip(metrics, omegas):
             witnesses.extend(_witnesses(case, m, omega))
         verdict = verdicts.pop() if len(verdicts) == 1 else "mixed:" + ",".join(sorted(verdicts))
@@ -640,8 +627,7 @@ class Table3Result:
                 "rows": [r.to_dict() for r in self.rows]}
 
 
-def regenerate_table3(samples_per_family: int = 200, seed: int = 0,
-                      sign_samples: int = 8, starts: int = 64) -> Table3Result:
+def regenerate_table3(samples_per_family: int = 200, seed: int = 0) -> Table3Result:
     """Recompute the whole classification table.
 
     Per case: scan random admissible metrics for the pure-type vanishing,
@@ -650,12 +636,10 @@ def regenerate_table3(samples_per_family: int = 200, seed: int = 0,
     evaluate the closed-form component witnesses.
     """
     if samples_per_family < MIN_SAMPLES:
-        raise CatalogError(
-            f"samples_per_family must be >= {MIN_SAMPLES}, got {samples_per_family}")
+        raise CatalogError(f"samples_per_family {samples_per_family} is below "
+                           f"the minimum {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
-    rows = [classify_case(case, samples_per_family, rng,
-                          sign_samples=sign_samples, starts=starts)
-            for case in CASES]
+    rows = [classify_case(case, samples_per_family, rng) for case in CASES]
     return Table3Result(rows=rows, samples=samples_per_family, seed=seed)
 
 
@@ -749,12 +733,12 @@ def flow_preservation_check(case_key: str,
                             t_end: float = 0.5,
                             dt: float = 2e-3,
                             seed: int = 0,
-                            starts: int = 24,
-                            checkpoints: int = 2) -> FlowPreservationReport:
+                            starts: int = 24) -> FlowPreservationReport:
     """Integrate the coefficient flow for one classification case and verify
     that the metric slice conditions and the sign verdict class persist.
 
-    Runs the named flows plus ``extra_flows`` random coefficient tuples.
+    Runs the named flows plus ``extra_flows`` random coefficient tuples,
+    each recorded at ``FLOW_CHECKPOINTS`` evenly spaced times up to ``t_end``.
     For the flat cases the report carries the largest curvature magnitude
     seen along the flow instead.
     """
@@ -774,7 +758,7 @@ def flow_preservation_check(case_key: str,
     zero_names = [name for name, val in (case.sign_slice or {}).items()
                   if name in ("u", "v", "z") and val == 0]
     results = integrate_invariant_flows(eqs, m0, flows, t_end=t_end, dt=dt,
-                                        checkpoints=checkpoints)
+                                        checkpoints=FLOW_CHECKPOINTS)
     # all checkpoints of the case form one curvature stack; their seeds are
     # drawn flow by flow, record by record
     metrics = [m for result in results for m in result.metrics]

@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import catalog, flows, hopf, oracle
-from .invariant import MetricCoefficients, MetricError, check_cplx
-from .positivity import CplxViolationError, classify, gamma_threshold
+from .invariant import MetricCoefficients, check_cplx
+from .positivity import DEFAULT_STARTS, CplxViolationError, classify, gamma_threshold
 from .tensors import ZERO_RTOL, label_name
 
 
@@ -124,6 +124,36 @@ def _emit(doc: dict, out=None) -> None:
     out.write("\n")
 
 
+def _write(body: str, path: str | None, end: str = "") -> None:
+    """``body`` into the file ``path``, or ``body + end`` to stdout without one."""
+    if not path:
+        sys.stdout.write(body + end)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _read_fixture(path: str) -> dict:
+    """The fixture at ``path``: a JSON object whose ``rows`` are objects
+    with ``key`` and ``cplx``, as ``compare_with_fixture`` reads them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read fixture {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CliError(f"fixture {path} is not JSON: {exc}") from None
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and "key" in row and "cplx" in row for row in rows):
+        raise CliError(f"fixture {path} must be a JSON object whose rows are "
+                       "objects with key and cplx")
+    return doc
+
+
 def _json_default(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
@@ -217,13 +247,7 @@ def cmd_flow(args) -> int:
         raise CliError(str(exc)) from None
     body = flows.trajectory_csv(traj) if args.format == "csv" \
         else flows.trajectory_json(traj)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
-        if not body.endswith("\n"):
-            sys.stdout.write("\n")
+    _write(body, args.output, "" if body.endswith("\n") else "\n")
     sc = flows.scalars(fc, args.n)
     preservation = flows.preserves_nonnegativity(fc, args.n)
     summary = {
@@ -295,24 +319,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table3(args) -> int:
-    if args.samples < catalog.MIN_SAMPLES:
-        print(f"warning: --samples {args.samples} is below the minimum "
-              f"{catalog.MIN_SAMPLES}", file=sys.stderr)
-        return 2
+    fixture = _read_fixture(args.fixture) if args.fixture else None
     result = catalog.regenerate_table3(samples_per_family=args.samples,
                                        seed=args.seed)
-    fixture = None
-    if args.fixture:
-        with open(args.fixture, encoding="utf-8") as fh:
-            fixture = json.load(fh)
     ok, diffs = catalog.compare_with_fixture(result, fixture)
     body = catalog.render_markdown(result) if args.format == "markdown" \
         else catalog.render_json(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(body, args.output)
     if not ok:
         for diff in diffs:
             print(f"mismatch: {diff}", file=sys.stderr)
@@ -376,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "classify":
             p.add_argument("--hopf", help="n,alpha,beta instead of --family")
             p.add_argument("--point", help="evaluation point for --hopf")
-            p.add_argument("--starts", type=int, default=64)
+            p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
 
     p = sub.add_parser("table3", help="regenerate the classification table")
     p.add_argument("--samples", type=int, default=200)
@@ -409,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         namespace = argparse.Namespace(seed=_default_seed())
         args = _parser().parse_args(argv, namespace)
         return _HANDLERS[args.command](args)
-    except (CliError, MetricError, catalog.CatalogError, ValueError,
-            TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,14 +68,18 @@ class FlowScalars:
 
 def scalars(fc: FlowCoefficients, n: int) -> FlowScalars:
     """The two combinations governing the ratio dynamics, plus the static
-    ratio ``F / (n - F)`` whenever ``F < n``."""
+    ratio ``F / (n - F)`` whenever ``F < n``.  Coefficients so large that
+    ``F`` or ``L`` overflows, or that the ratio rounds to -1 or below, raise
+    ``ValueError``."""
     if n < 2:
         raise ValueError(f"complex dimension must be >= 2, got {n}")
     F = (n - 2) * fc.a - 2 * fc.b + (n - 1) ** 2 * fc.c - (n - 1) * fc.d
     L = 1 + fc.a + 2 * fc.b + (n - 1) * fc.d
+    check_finite(F=F, L=L)
     ratio = F / (n - F) if F < n else None
     if ratio is not None and not ratio > -1:
-        raise AssertionError("static ratio left the admissible range")
+        raise ValueError(f"static ratio F/(n - F) = {ratio!r} is not above -1 "
+                         f"in floats (F={F!r})")
     return FlowScalars(F=F, L=L, static_ratio=ratio)
 
 
@@ -149,6 +153,8 @@ def _check_inputs(alpha0: float, beta0: float, fc: FlowCoefficients,
                  **dict(zip("abcd", fc.as_tuple())))
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
+    if dt < MIN_DT:
+        raise ValueError(f"dt must be at least the step floor MIN_DT = {MIN_DT:g}, got {dt!r}")
     _check_state(alpha0, beta0)
 
 

@@ -343,6 +343,10 @@ def frame_metric(m: MetricCoefficients) -> np.ndarray:
 
 #: draws ``sample_admissible_metric`` makes before it gives up
 SAMPLE_MAX_TRIES = 200
+#: bounds of the nine uniforms of one attempt, drawn in one call: r2, s2,
+#: t2, then for each of u, v, z the squared radius over 0.4^2 and the angle
+_SAMPLE_LOW = np.array([0.5, 0.5, 0.5, 0, 0, 0, 0, 0, 0])
+_SAMPLE_HIGH = np.array([2.0, 2.0, 2.0, 1, 2 * np.pi, 1, 2 * np.pi, 1, 2 * np.pi])
 
 
 def sample_admissible_metric(rng: np.random.Generator,
@@ -354,15 +358,10 @@ def sample_admissible_metric(rng: np.random.Generator,
     """
     fixed = dict(fixed or {})
     for _ in range(SAMPLE_MAX_TRIES):
-        vals = {
-            "r2": rng.uniform(0.5, 2.0),
-            "s2": rng.uniform(0.5, 2.0),
-            "t2": rng.uniform(0.5, 2.0),
-        }
-        for name in ("u", "v", "z"):
-            radius = 0.4 * np.sqrt(rng.uniform())
-            angle = rng.uniform(0, 2 * np.pi)
-            vals[name] = radius * np.exp(1j * angle)
+        r2, s2, t2, *polar = rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH).tolist()
+        vals = {"r2": r2, "s2": s2, "t2": t2}
+        for name, area, angle in zip(("u", "v", "z"), polar[0::2], polar[1::2]):
+            vals[name] = 0.4 * np.sqrt(area) * np.exp(1j * angle)
         vals.update(fixed)
         m = MetricCoefficients(**vals)
         if m.is_admissible():
@@ -600,49 +599,33 @@ def _tangent_rows(bracket: BracketTable, x: np.ndarray, coeffs: np.ndarray) -> n
     return (coeffs[:, None, :] @ q).reshape(R, n, n) - S
 
 
-def hcf_tangent(eqs: ComplexStructureEquations,
-                m: MetricCoefficients | np.ndarray,
-                fc):
-    """Hermitian matrix ``K[i, j] = (-S + a Q1 + b Q2 + c Q3 + d Q4)_{i j~}``.
+def hcf_tangent(eqs: ComplexStructureEquations, x: np.ndarray, coeffs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian matrices ``K[i, j] = (-S + a Q1 + b Q2 + c Q3 + d Q4)_{i j~}``
+    at the (R, 9) stack ``x`` of ``as_array`` rows, with the (R, 4) rows
+    ``coeffs`` of (a, b, c, d); returns the (R, 3, 3) stack and the mask of
+    the rows that are admissible, finite and Hermitian to ``1e-8 * (1 +
+    max|K|)``, raising nothing.  The bracket is ``eqs.bracket``.
 
     ``S`` is the inverse-metric trace of the Chern curvature over its
     curvature plane, taken in the direct sign convention
     ``g(R(e_A, e_B) e_C, e_D)`` so that the flow direction agrees with the
     coordinate picture on homogeneous model spaces.
-
-    One metric ``m`` and flow ``fc`` give the (3, 3) matrix; an inadmissible
-    metric or a non-finite ``K`` raises ``MetricError``, a ``K`` that is not
-    Hermitian to ``1e-8 * (1 + max|K|)`` raises ``FlowDegenerationError``.
-    An (R, 9) stack of ``as_array`` rows with an (R, 4) array of (a, b, c, d)
-    rows gives the (R, 3, 3) stack and the mask of the rows that pass those
-    tests, raising nothing.  The bracket is ``eqs.bracket``.
     """
-    bracket = eqs.bracket
-    single = isinstance(m, MetricCoefficients)
-    if single:
-        m.validate()
-        x, coeffs, ok = m.as_array()[None], np.array([fc.as_tuple()]), np.ones(1, bool)
-    else:
-        x, coeffs = np.asarray(m, dtype=float), np.asarray(fc, dtype=float)
-        ok = _admissible_rows(x)
+    x, coeffs = np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float)
+    ok = _admissible_rows(x)
     # a row that overflows at the rim of the cone fails the finite test below
     with np.errstate(invalid="ignore", over="ignore"):
         if ok.all():
-            K = _tangent_rows(bracket, x, coeffs)
+            K = _tangent_rows(eqs.bracket, x, coeffs)
         else:
             K = np.zeros((len(x), eqs.n, eqs.n), dtype=complex)
-            K[ok] = _tangent_rows(bracket, x[ok], coeffs[ok])
+            K[ok] = _tangent_rows(eqs.bracket, x[ok], coeffs[ok])
         KH = K.conj().swapaxes(1, 2)
         size, defect = np.abs(K).max(axis=(1, 2)), np.abs(K - KH).max(axis=(1, 2))
     # a NaN row fails both tests
     ok &= np.isfinite(size) & (defect <= 1e-8 * (1.0 + size))
-    if not single:
-        return 0.5 * (K + KH), ok
-    if not np.isfinite(size[0]):
-        raise MetricError("flow tangent is not finite")
-    if not ok[0]:
-        raise FlowDegenerationError(f"flow tangent lost Hermitian symmetry ({defect[0]:.2e})")
-    return 0.5 * (K[0] + KH[0])
+    return 0.5 * (K + KH), ok
 
 
 def _coefficient_rates(K: np.ndarray) -> np.ndarray:
@@ -811,6 +794,9 @@ def integrate_invariant_flows(eqs: ComplexStructureEquations,
         check_finite(**dict(zip("abcd", fc.as_tuple())))
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
+    if dt < FLOW_MIN_STEP:
+        raise ValueError(f"dt must be at least the step floor FLOW_MIN_STEP = "
+                         f"{FLOW_MIN_STEP:g}, got {dt!r}")
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
     m0.validate()

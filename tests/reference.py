@@ -36,9 +36,9 @@ from hermflow.oracle import (DEFAULT_STEP_SCALE, RICHARDSON_STEP_SCALE,
                              wirtinger_derivative)
 from hermflow.catalog import (CASE_INDEX, CASES, NAMED_FLOWS, ClassificationRow,
                               FlowCoefficients, FlowPreservationReport,
-                              Table3Result, WitnessResult, _never_witness,
-                              _sample_off_slice, _sample_slice, _witnesses,
-                              bismut_curvature, instantiate)
+                              Table3Result, WitnessResult, _sample_off_slice,
+                              _sample_slice, _witnesses, bismut_curvature,
+                              instantiate)
 from hermflow.flows import Termination
 from hermflow.invariant import (_DP_A, _DP_E, CURVATURE_COMPONENT_SIGN, FLOW_ATOL,
                                 FLOW_MIN_STEP, FLOW_RTOL, BracketTable,
@@ -402,7 +402,7 @@ def classify_case(case, samples: int, rng: np.random.Generator,
                 ok, omega = cplx_ok(m)
                 if ok:
                     slice_fail = False
-                witnesses.extend(_never_witness(case, m, omega))
+                witnesses.extend(_witnesses(case, m, omega))
         observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
     verdict = None
     if case.expected_verdict is not None:

@@ -75,8 +75,7 @@ def test_ni_cplx_holds_beyond_the_bullet_points(rng):
 
 def test_classify_case_single_row(rng):
     case = next(c for c in CASES if c.key == "Siii1/+")
-    row = classify_case(case, samples=50, rng=np.random.default_rng(0),
-                        sign_samples=3, starts=24)
+    row = classify_case(case, samples=50, rng=np.random.default_rng(0))
     assert row.cplx_observed == "slice"
     assert row.verdict_observed == "non_negative"
     assert all(w.ok for w in row.witnesses)
@@ -88,8 +87,7 @@ def test_regenerate_minimum_samples():
 
 
 def test_fixture_comparison_flags_corruption():
-    result = regenerate_table3(samples_per_family=50, seed=0,
-                               sign_samples=3, starts=24)
+    result = regenerate_table3(samples_per_family=50, seed=0)
     ok, diffs = compare_with_fixture(result)
     assert ok, diffs
     fixture = load_fixture()
@@ -108,8 +106,7 @@ def test_table3_matches_fixture_at_every_seed(seed):
 
 
 def test_renderers_cover_all_rows():
-    result = regenerate_table3(samples_per_family=50, seed=1,
-                               sign_samples=2, starts=16)
+    result = regenerate_table3(samples_per_family=50, seed=1)
     md = render_markdown(result)
     js = render_json(result)
     for case in CASES:

@@ -273,6 +273,7 @@ def test_table3_below_minimum(capsys):
     code, _, err = run(capsys, "table3", "--samples", "5")
     assert code == 2
     assert "below the minimum" in err
+    assert err == "error: samples_per_family 5 is below the minimum 50\n"
 
 
 def test_table3_small_run_and_corrupted_fixture(capsys, tmp_path):
@@ -290,6 +291,61 @@ def test_table3_small_run_and_corrupted_fixture(capsys, tmp_path):
                        "--fixture", str(bad))
     assert code == 1
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("doc,reason", [
+    (None, "cannot read fixture"),
+    ("[1, 2", "is not JSON"),
+    ("[]", "rows are objects with key and cplx"),
+    ('{"samples": 50}', "rows are objects with key and cplx"),
+    ('{"rows": [1]}', "rows are objects with key and cplx"),
+    ('{"rows": [{"key": "Np/torus"}]}', "rows are objects with key and cplx"),
+])
+def test_table3_bad_fixture_exits_2_before_regenerating(capsys, tmp_path, monkeypatch,
+                                                        doc, reason):
+    from hermflow import catalog
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("regenerated the table before reading the fixture")
+
+    monkeypatch.setattr(catalog, "regenerate_table3", unexpected)
+    path = tmp_path / "fixture.json"
+    if doc is not None:
+        path.write_text(doc)
+    code, out, err = run(capsys, "table3", "--samples", "50", "--fixture", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err and reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--name", "gradient", "--n", "3", "--alpha0", "1", "--beta0", "0",
+     "--t-end", "0.1"],
+    ["table3", "--samples", "50"],
+], ids=["flow", "table3"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "--seed", "0", *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and str(target) in err
+
+
+@pytest.mark.parametrize("coeffs,reason", [
+    ("0,5e307,0,0", "static ratio"),
+    ("0,1e308,0,0", "F must be finite"),
+    ("1e308,0,1e308,0", "F must be finite"),
+])
+def test_flow_with_overflowing_coefficients_exits_2(capsys, coeffs, reason):
+    code, out, err = run(capsys, "flow", "--coeffs", coeffs, "--n", "3", "--alpha0", "1",
+                         "--beta0", "0", "--t-end", "0.01")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+
+
+def test_flow_step_below_the_floor_exits_2(capsys):
+    code, out, err = run(capsys, "flow", "--name", "gradient", "--n", "3", "--alpha0", "1",
+                         "--beta0", "0", "--t-end", "1", "--dt", "1e-13")
+    assert code == 2 and out == ""
+    assert err.startswith("error: dt must be at least") and "MIN_DT" in err
 
 
 def test_deterministic_output_bytes(capsys):

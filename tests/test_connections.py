@@ -176,9 +176,16 @@ def test_bismut_chern_comparison_fails_off_pluriclosed():
 
 # --- flow tangent -----------------------------------------------------------
 
+def _tangent(eqs, m, fc):
+    """``hcf_tangent`` at one admissible metric and flow, as a stack of one."""
+    K, ok = hcf_tangent(eqs, m.as_array()[None], np.array([fc.as_tuple()]))
+    assert ok.all()
+    return K[0]
+
+
 def test_tangent_zero_on_torus(torus, unit_metric):
     for fc in (named_flow("gradient"), FlowCoefficients(0.3, -0.7, 0.2, 0.9)):
-        K = hcf_tangent(torus, unit_metric, fc)
+        K = _tangent(torus, unit_metric, fc)
         assert np.max(np.abs(K)) == 0.0
 
 
@@ -186,7 +193,7 @@ def test_tangent_diagonal_on_diagonal_nilpotent_metrics(rng):
     eqs = instantiate("Ni", rho=0, lam=0.0, D=1j)
     fc = FlowCoefficients(0.4, -0.2, 0.3, 0.6)
     m = sample_admissible_metric(rng, fixed={"u": 0, "v": 0, "z": 0})
-    K = hcf_tangent(eqs, m, fc)
+    K = _tangent(eqs, m, fc)
     off = K - np.diag(np.diag(K))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -198,7 +205,7 @@ def test_tangent_preserves_nii_slice(rng):
     fc = FlowCoefficients(0.7, 0.1, -0.4, 0.2)
     for _ in range(3):
         m = sample_admissible_metric(rng, fixed={"v": 0})
-        K = hcf_tangent(eqs, m, fc)
+        K = _tangent(eqs, m, fc)
         assert abs(K[1, 2]) < 1e-12
 
 
@@ -206,7 +213,7 @@ def test_tangent_is_hermitian(rng):
     eqs = instantiate("Nii", rho=1, B=0j, c=0.0)
     fc = FlowCoefficients(-0.3, 0.8, 0.5, -0.6)
     m = sample_admissible_metric(rng)
-    K = hcf_tangent(eqs, m, fc)
+    K = _tangent(eqs, m, fc)
     assert np.max(np.abs(K - K.conj().T)) < 1e-12
 
 

@@ -37,19 +37,13 @@ def test_matmul_tangent_matches_einsum_reference(case, rng):
     eqs = instantiate(case.family, **case.params)
     metrics = [sample_admissible_metric(rng) for _ in range(4)]
     flows = _flow_tuples(rng, 3)
-    for m in metrics:
-        for fc in flows:
-            want = reference.hcf_tangent(eqs, m, fc)
-            got = hcf_tangent(eqs, m, fc)
-            assert reference.relative_error(got, want) <= TANGENT_RTOL, (case.key, fc)
-    # the same pairs as one stack
     x = np.array([m.as_array() for m in metrics for _ in flows])
     coeffs = np.array([fc.as_tuple() for _ in metrics for fc in flows])
     K, ok = hcf_tangent(eqs, x, coeffs)
     assert ok.all()
     for row, (m, fc) in enumerate((m, fc) for m in metrics for fc in flows):
         want = reference.hcf_tangent(eqs, m, fc)
-        assert reference.relative_error(K[row], want) <= TANGENT_RTOL
+        assert reference.relative_error(K[row], want) <= TANGENT_RTOL, (case.key, fc)
 
 
 def test_stacked_tangent_rows_equal_rows_alone(rng):
@@ -90,10 +84,6 @@ def test_stacked_tangent_reports_failing_rows(rng):
     assert ok.tolist() == [True, False, False, True]
     assert np.array_equal(K[0], K[3])
     assert np.array_equal(K[0], hcf_tangent(eqs, x[:1], coeffs[:1])[0][0])
-    # one metric still raises, as before
-    with pytest.raises(invariant.MetricError, match="r2\\*s2"):
-        hcf_tangent(eqs, MetricCoefficients(1.0, 1.0, 1.0, u=1.5),
-                    NAMED_FLOWS["gradient"])
 
 
 # --- each row of the stacked integrator is the flow run alone ---------------

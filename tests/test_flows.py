@@ -422,6 +422,26 @@ def test_integrators_reject_nonfinite_inputs(name, bad):
                        t_end=args["t_end"], dt=args["dt"])
 
 
+def test_integrators_refuse_a_step_below_the_floor():
+    # below MIN_DT the halving loop never ran, and an interior start was
+    # reported as a cone exit at t = 0
+    fc = named_flow("gradient")
+    for integrator in (integrate, integrate_fixed_step):
+        with pytest.raises(ValueError, match="MIN_DT"):
+            integrator(1.0, 0.0, fc, 3, t_end=1.0, dt=0.1 * MIN_DT)
+
+
+@pytest.mark.parametrize("coeffs,reason", [
+    ((0.0, 5e307, 0.0, 0.0), "static ratio"),
+    ((0.0, 1e308, 0.0, 0.0), "^F must be finite"),
+    ((1e308, 0.0, 1e308, 0.0), "^F must be finite"),
+    ((1e308, 5e307, 0.0, 0.0), "^L must be finite"),
+])
+def test_scalars_refuse_coefficients_that_overflow(coeffs, reason):
+    with pytest.raises(ValueError, match=reason):
+        scalars(FlowCoefficients(*coeffs), 3)
+
+
 @pytest.mark.parametrize("argv", [
     ["--coeffs=nan,0,0,0", "--alpha0=1", "--beta0=0"],
     ["--coeffs=1,inf,0,0", "--alpha0=1", "--beta0=0"],

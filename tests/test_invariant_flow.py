@@ -67,6 +67,19 @@ def test_flow_rejects_bad_arguments():
         integrate_invariant_flow(eqs, m0, fc, t_end=0.5, dt=0.0)
 
 
+def test_flow_refuses_a_first_step_below_the_floor():
+    # a first trial step below FLOW_MIN_STEP used to report an interior
+    # start as degenerate at t = dt
+    eqs, m0 = _nii_main()
+    fc = named_flow("gradient")
+    with pytest.raises(ValueError, match="FLOW_MIN_STEP"):
+        integrate_invariant_flow(eqs, m0, fc, t_end=0.1, dt=0.1 * invariant.FLOW_MIN_STEP)
+    with pytest.raises(ValueError, match="FLOW_MIN_STEP"):
+        invariant.invariant_flow_step(eqs, m0, fc, 0.5 * invariant.FLOW_MIN_STEP)
+    res = integrate_invariant_flow(eqs, m0, fc, t_end=0.1, dt=invariant.FLOW_MIN_STEP)
+    assert res.termination is Termination.REACHED_T_END
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_flow_rejects_nonfinite_arguments(bad):
     # a NaN end time used to return the times [0, nan] as reaching t_end,
@@ -108,8 +121,9 @@ def test_flow_matches_scipy_dop853(fc):
     eqs, m0 = _nii_main()
 
     def rhs(_t, x):
-        m = MetricCoefficients.from_array(x)
-        return _coefficient_rates(hcf_tangent(eqs, m, fc))
+        K, ok = hcf_tangent(eqs, x[None], np.array([fc.as_tuple()]))
+        assert ok.all()
+        return _coefficient_rates(K[0])
 
     ref = solve_ivp(rhs, (0.0, 0.5), m0.as_array(), method="DOP853",
                     rtol=1e-12, atol=1e-14, t_eval=[0.25, 0.5])
