@@ -23,9 +23,9 @@ import numpy as np
 from .flows import NAMED_FLOWS, FlowCoefficients
 from .invariant import (ComplexStructureEquations, ConnectionKind,
                         MetricCoefficients, check_cplx, connection, curvature,
-                        frame_metric, integrate_invariant_flows,
-                        sample_admissible_metric)
-from .positivity import DEFAULT_STARTS, classify, sign_verdicts
+                        frame_metric, frame_metrics, integrate_invariant_flows,
+                        sample_admissible_metric, sample_admissible_metrics)
+from .positivity import DEFAULT_STARTS, sign_verdicts
 from .tensors import CurvatureTensor
 
 MIN_SAMPLES = 50
@@ -384,7 +384,7 @@ def bismut_curvature(eqs: ComplexStructureEquations,
     metrics gives the stack of their curvatures."""
     bracket = eqs.bracket
     g = frame_metric(m) if isinstance(m, MetricCoefficients) else \
-        np.stack([frame_metric(x) for x in m])
+        frame_metrics(np.array([x.as_array() for x in m]))
     return curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
 
 
@@ -564,7 +564,7 @@ def classify_case(case: ClassificationCase,
     witnesses: list[WitnessResult] = []
 
     # (a) random full metrics
-    random_pass = sum(passes([sample_admissible_metric(rng) for _ in range(samples)]))
+    random_pass = sum(passes(sample_admissible_metrics(rng, samples)))
     detail["random_pass"] = random_pass
     detail["random_total"] = samples
 
@@ -770,7 +770,7 @@ def flow_preservation_check(case_key: str,
     else:
         seeds = [int(rng.integers(0, 2 ** 31)) for _ in metrics]
         flat_drift = None
-        classes = [r.verdict.value for r in classify(omegas, starts=starts, seed=seeds)]
+        classes = [v.value for v in sign_verdicts(omegas, starts, seeds)]
     verdicts: dict = {label: [] for label in labels}
     for label, verdict in zip(owners, classes):
         verdicts[label].append(verdict)

@@ -168,16 +168,22 @@ def _slope_constants(fc: FlowCoefficients, n: int
             float(1 - 2 * n), float(n - 1))
 
 
+_INF = math.inf
+
+
 def _rk4(a: float, b: float, ka: float, kb: float, h: float, n: float,
          p: float, ac: float, c1: float, n1: float) -> tuple[float, float] | None:
     """One classical Runge-Kutta step from the state ``(a, b)`` with its
     slope ``(ka, kb)`` already evaluated: the new state, or None when a stage
-    or the result leaves the cone.  Every stage slope is ``ode_rhs``'s
+    or the result leaves the cone or is not finite, as where a product
+    overflows.  A stage tests ``sa`` for it only: an infinite ``sa`` gives
+    the ratio 0 and finite slopes, while an infinite or NaN ``sb`` or slope
+    makes the result infinite or NaN.  Every stage slope is ``ode_rhs``'s
     formula in its order of operations, on float locals; ``** 2`` raises
     ``OverflowError`` where ``ode_rhs`` does."""
     sa = a + 0.5 * h * ka
     sb = b + 0.5 * h * kb
-    if not sa > 0 or not sb > -sa:
+    if not 0 < sa < _INF or not sb > -sa:
         return None
     g = sb / sa
     g1 = g + 1
@@ -185,7 +191,7 @@ def _rk4(a: float, b: float, ka: float, kb: float, h: float, n: float,
     k2b = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
     sa = a + 0.5 * h * k2a
     sb = b + 0.5 * h * k2b
-    if not sa > 0 or not sb > -sa:
+    if not 0 < sa < _INF or not sb > -sa:
         return None
     g = sb / sa
     g1 = g + 1
@@ -193,7 +199,7 @@ def _rk4(a: float, b: float, ka: float, kb: float, h: float, n: float,
     k3b = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
     sa = a + h * k3a
     sb = b + h * k3b
-    if not sa > 0 or not sb > -sa:
+    if not 0 < sa < _INF or not sb > -sa:
         return None
     g = sb / sa
     g1 = g + 1
@@ -201,7 +207,7 @@ def _rk4(a: float, b: float, ka: float, kb: float, h: float, n: float,
     k4b = g * (c1 - g * n1) + g1 ** 2 * n1 * ac - g1 * p
     a = a + (h / 6.0) * (ka + 2 * k2a + 2 * k3a + k4a)
     b = b + (h / 6.0) * (kb + 2 * k2b + 2 * k3b + k4b)
-    if not a > 0 or not b > -a:
+    if not 0 < a < _INF or not -a < b < _INF:
         return None
     return a, b
 

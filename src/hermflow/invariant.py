@@ -175,12 +175,14 @@ class BracketTable:
 
     @functools.cached_property
     def tangent_map(self) -> np.ndarray:
-        """The (9, 198) matrix with which ``x @ tangent_map`` holds the blocks
+        """The (9, 225) matrix with which ``x @ tangent_map`` holds the blocks
         of ``_tangent_rows`` that are linear in the metric coordinates ``x``
-        (n = 3), flattened: ``G[i, k~]``, the lowered Chern block ``low[A, i,
-        k~]`` ordered ``(i, A, k)``, the trace sources ``(-low[b~], low[a])``
-        and ``W[(b, a)] = f[a, b~, E] low[E]``; row ``c`` holds them at the
-        ``c``-th unit vector, by the ``connection()`` formula."""
+        (n = 3), flattened: ``G[i, k~]``, the lowered (2,0) Chern torsion
+        ``t[i, j, k] = low[i, j, k~] - low[j, i, k~] - f[i, j, m] G[m, k]``,
+        the lowered Chern block ``low[A, i, k~]`` ordered ``(i, A, k)``, the
+        trace sources ``(-low[b~], low[a])`` and ``W[(b, a)] = f[a, b~, E]
+        low[E]``; row ``c`` holds them at the ``c``-th unit vector, by the
+        ``connection()`` formula."""
         n = 3
         G = np.array([MetricCoefficients.from_array(e).hermitian_matrix() for e in np.eye(9)])
         g = np.zeros((9, 2 * n, 2 * n), dtype=complex)
@@ -189,9 +191,11 @@ class BracketTable:
         chern = (_koszul_lowered(self.f, g)
                  - 0.5 * _j_diagonal(n)[:, None, None] * d_omega(self.f, g, n))
         low = chern[:, :, :n, n:]
+        t_low = (low[:, :n] - low[:, :n].swapaxes(1, 2)
+                 - (self.f[:n, :n, :n].reshape(n * n, n) @ G).reshape(9, n, n, n))
         W = self.f[:n, n:].swapaxes(0, 1).reshape(n * n, 2 * n) @ low.reshape(9, 2 * n, n * n)
         return np.concatenate([b.reshape(9, -1) for b in (
-            G, low.transpose(0, 2, 1, 3), -low[:, n:], low[:, :n], W)], axis=1)
+            G, t_low, low.transpose(0, 2, 1, 3), -low[:, n:], low[:, :n], W)], axis=1)
 
 
 def dualize(eqs: ComplexStructureEquations) -> BracketTable:
@@ -248,10 +252,18 @@ def _cone_test(r2: float, s2: float, t2: float, ur: float, ui: float, vr: float,
     return held, (uu, vv, zz, det)
 
 
+#: stacks up to this many rows take the cone test row by row on floats,
+#: cheaper there than the forty numpy calls of the test on columns
+_FEW_ROWS = 8
+
+
 def _admissible_rows(x: np.ndarray) -> np.ndarray:
-    """``from_array(r).is_admissible()`` for each row of the (R, 9) stack ``x``,
-    on floats: for a few rows, cheaper than forty numpy calls on columns."""
-    return np.array([all(_cone_test(*r)[0]) for r in x.tolist()], dtype=bool)
+    """``from_array(r).is_admissible()`` for each row of the (R, 9) stack
+    ``x``: the same float operations, row by row or on columns."""
+    if len(x) <= _FEW_ROWS:
+        return np.array([all(_cone_test(*r)[0]) for r in x.tolist()], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.logical_and.reduce(_cone_test(*x.T)[0])
 
 
 @dataclass(frozen=True)
@@ -330,43 +342,93 @@ class MetricCoefficients:
                    z=complex(x[7], x[8]))
 
 
-def frame_metric(m: MetricCoefficients) -> np.ndarray:
-    """The complex-bilinear metric over the full frame, ``g[A, B] = g(e_A, e_B)``."""
-    m.validate()
-    G = m.hermitian_matrix()
-    n = G.shape[0]
-    g = np.zeros((2 * n, 2 * n), dtype=complex)
-    g[:n, n:] = G
-    g[n:, :n] = G.T
+def frame_metrics(x: np.ndarray) -> np.ndarray:
+    """The complex-bilinear metrics ``g[r, A, B] = g(e_A, e_B)`` over the full
+    frame of the rows of the (R, 9) stack ``x`` of ``as_array`` coordinates,
+    with ``hermitian_matrix``'s operations; refuses the first row outside
+    the cone with ``validate``'s error."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bad = ~_admissible_rows(x)
+    if bad.any():
+        MetricCoefficients.from_array(x[np.argmax(bad)]).validate()
+    R, n = len(x), 3
+    # -i u / 2, -i v / 2 and -i z / 2 from the (re, im) pairs of u, v, z
+    u, v, z = (-0.5j * x[:, 3:].view(complex)).T
+    G = np.empty((R, n, n), dtype=complex)
+    G[:, 0, 0], G[:, 1, 1], G[:, 2, 2] = x[:, 0] / 2, x[:, 1] / 2, x[:, 2] / 2
+    G[:, 0, 1], G[:, 1, 2], G[:, 0, 2] = u, v, z
+    G[:, 1, 0], G[:, 2, 1], G[:, 2, 0] = np.conj(u), np.conj(v), np.conj(z)
+    g = np.zeros((R, 2 * n, 2 * n), dtype=complex)
+    g[:, :n, n:] = G
+    g[:, n:, :n] = G.swapaxes(1, 2)
     return g
 
 
-#: draws ``sample_admissible_metric`` makes before it gives up
+def frame_metric(m: MetricCoefficients) -> np.ndarray:
+    """The complex-bilinear metric over the full frame, ``g[A, B] = g(e_A, e_B)``."""
+    return frame_metrics(m.as_array()[None])[0]
+
+
+#: consecutive draws ``sample_admissible_metrics`` makes before it gives up
 SAMPLE_MAX_TRIES = 200
-#: bounds of the nine uniforms of one attempt, drawn in one call: r2, s2,
-#: t2, then for each of u, v, z the squared radius over 0.4^2 and the angle
+#: bounds of the nine uniforms of one attempt: r2, s2, t2, then for each of
+#: u, v, z the squared radius over 0.4^2 and the angle
 _SAMPLE_LOW = np.array([0.5, 0.5, 0.5, 0, 0, 0, 0, 0, 0])
 _SAMPLE_HIGH = np.array([2.0, 2.0, 2.0, 1, 2 * np.pi, 1, 2 * np.pi, 1, 2 * np.pi])
+_SAMPLE_SPAN = _SAMPLE_HIGH - _SAMPLE_LOW
+#: the coordinate columns of each coefficient a ``fixed`` entry pins
+_COLUMNS = {"r2": 0, "s2": 1, "t2": 2, "u": slice(3, 5), "v": slice(5, 7), "z": slice(7, 9)}
+
+
+def sample_admissible_metrics(rng: np.random.Generator, count: int,
+                              fixed: dict | None = None) -> list[MetricCoefficients]:
+    """``count`` random admissible coefficient sets: r2, s2, t2 uniform in
+    [0.5, 2] and u, v, z in the complex disk of radius 0.4 (rejection
+    sampling), keeping the determinant indicator away from zero.  ``fixed``
+    pins individual coefficients, e.g. ``{"v": 0, "z": 0}`` or ``{"r2": 1}``.
+
+    Attempts are drawn in order, nine uniforms each, as many at a time as
+    metrics are missing: each metric takes at least one attempt, so the
+    stream is never read beyond the attempt that completes the last metric,
+    and ``count`` metrics read it as ``count`` samples of one do.  After
+    ``SAMPLE_MAX_TRIES`` failed attempts in a row it raises ``MetricError``.
+    """
+    pinned = []
+    for name, value in (fixed or {}).items():
+        if name not in _COLUMNS:
+            raise TypeError(f"unknown metric coefficient {name!r}")
+        if name in ("u", "v", "z"):
+            value = complex(value)
+            pinned.append((_COLUMNS[name], [value.real, value.imag]))
+        else:
+            pinned.append((_COLUMNS[name], float(value)))
+    out: list[MetricCoefficients] = []
+    failed = 0
+    while len(out) < count:
+        tries = min(count - len(out), SAMPLE_MAX_TRIES - failed)
+        # rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH, (tries, 9)) in its own
+        # arithmetic, without its broadcasting checks
+        draws = _SAMPLE_LOW + _SAMPLE_SPAN * rng.random((tries, 9))
+        x = np.empty((tries, 9))
+        x[:, :3] = draws[:, :3]
+        x[:, 3:].view(complex)[:] = 0.4 * np.sqrt(draws[:, 3::2]) * np.exp(1j * draws[:, 4::2])
+        for columns, value in pinned:
+            x[:, columns] = value
+        for row, admissible in zip(x, _admissible_rows(x).tolist()):
+            if admissible:
+                out.append(MetricCoefficients.from_array(row))
+                failed = 0
+            else:
+                failed += 1
+        if failed >= SAMPLE_MAX_TRIES:
+            raise MetricError("could not sample an admissible metric under the given constraints")
+    return out
 
 
 def sample_admissible_metric(rng: np.random.Generator,
                              fixed: dict | None = None) -> MetricCoefficients:
-    """Random admissible coefficients: r2, s2, t2 uniform in [0.5, 2] and
-    u, v, z in the complex disk of radius 0.4 (rejection sampling), keeping
-    the determinant indicator away from zero.  ``fixed`` pins individual
-    coefficients, e.g. ``{"v": 0, "z": 0}`` or ``{"r2": 1}``.
-    """
-    fixed = dict(fixed or {})
-    for _ in range(SAMPLE_MAX_TRIES):
-        r2, s2, t2, *polar = rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH).tolist()
-        vals = {"r2": r2, "s2": s2, "t2": t2}
-        for name, area, angle in zip(("u", "v", "z"), polar[0::2], polar[1::2]):
-            vals[name] = 0.4 * np.sqrt(area) * np.exp(1j * angle)
-        vals.update(fixed)
-        m = MetricCoefficients(**vals)
-        if m.is_admissible():
-            return m
-    raise MetricError("could not sample an admissible metric under the given constraints")
+    """One metric of ``sample_admissible_metrics``."""
+    return sample_admissible_metrics(rng, 1, fixed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -569,34 +631,37 @@ def _inverse_rows(G: np.ndarray) -> np.ndarray:
                          else np.full(B.shape, np.nan) for B in G])
 
 
-def _tangent_rows(bracket: BracketTable, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _tangent_rows(bracket: BracketTable, x: np.ndarray, coeffs: np.ndarray,
+                  chern_flat: bool) -> np.ndarray:
     """Unsymmetrized ``-S + a Q1 + b Q2 + c Q3 + d Q4`` at each admissible row
     of the (R, 9) coordinate stack ``x``, with the (R, 4) rows ``coeffs``.
 
-    Only the Chern Christoffels ``gam[A, i, j] = low[A, i, k~] Ginv[k, j]``
-    with holomorphic ``i, j`` enter.  ``S = P[a, b] Omega[a, b~]`` is traced
-    before the mixed block ``Omega[a, b~] = gam[b~] low[a] - gam[a] low[b~] -
-    f[a, b~, E] low[E]`` is formed: ``gam[A] lift[A]`` over the frame, with
-    ``lift[a] = -P[a, b] low[b~]`` and ``lift[b~] = P[a, b] low[a]``, minus
-    ``Ginv[b, a] W[(b, a)]`` (see ``BracketTable.tangent_map``).
+    The lowered torsion of the quadratics is linear in ``x`` and read off
+    ``BracketTable.tangent_map``.  ``S = P[a, b] Omega[a, b~]`` is traced
+    before the mixed block ``Omega[a, b~] = gam[b~] low[a] - gam[a] low[b~]
+    - f[a, b~, E] low[E]`` is formed, with only the Chern Christoffels
+    ``gam[A, i, j] = low[A, i, k~] Ginv[k, j]`` of holomorphic ``i, j``:
+    ``gam[A] lift[A]`` over the frame, with ``lift[a] = -P[a, b] low[b~]``
+    and ``lift[b~] = P[a, b] low[a]``, minus ``Ginv[b, a] W[(b, a)]``.  On a
+    ``chern_flat`` bracket, one with no mixed terms, ``low`` and ``W``
+    vanish for every metric, so ``S`` does and is not formed.
     """
-    R, n, f = len(x), 3, bracket.f
+    R, n = len(x), 3
     N, nn = 2 * n, n * n
-    blocks = x @ bracket.tangent_map
+    blocks = x @ (bracket.tangent_map[:, :4 * nn] if chern_flat else bracket.tangent_map)
     G = blocks[:, :nn].reshape(R, n, n)
     Ginv = _inverse_rows(G)
+    q = q_terms(Ginv, blocks[:, nn:4 * nn].reshape(R, n, n, n)).reshape(4, R, nn)
+    K = (coeffs[:, None, :] @ q.swapaxes(0, 1)).reshape(R, n, n)
+    if chern_flat:
+        return K
     # gam[A, c, e] at [c, (A, e)]
-    gam = (blocks[:, nn:7 * nn].reshape(R, N * n, n) @ Ginv).reshape(R, n, N, n)
-    sources = blocks[:, 7 * nn:13 * nn].reshape(R, 2, n, nn)
+    gam = (blocks[:, 4 * nn:10 * nn].reshape(R, N * n, n) @ Ginv).reshape(R, n, N * n)
+    sources = blocks[:, 10 * nn:16 * nn].reshape(R, 2, n, nn)
     lift = np.concatenate([Ginv.swapaxes(1, 2) @ sources[:, 0], Ginv @ sources[:, 1]], axis=1)
-    S = (gam.reshape(R, n, N * n) @ lift.reshape(R, N * n, n)
-         - (Ginv.reshape(R, 1, nn) @ blocks[:, 13 * nn:].reshape(R, nn, nn)).reshape(R, n, n))
-    # lowered (2,0) torsion T_{i j k~} = (gam[i, j, m] - gam[j, i, m] - f[i, j, m]) G[m, k]
-    gam_h = gam[:, :, :n]                       # gam[i, j, m] at [j, i, m]
-    torsion = gam_h.swapaxes(1, 2) - gam_h - f[:n, :n, :n]
-    t_low = (torsion.reshape(R, nn, n) @ G).reshape(R, n, n, n)
-    q = q_terms(Ginv, t_low).reshape(4, R, nn).swapaxes(0, 1)
-    return (coeffs[:, None, :] @ q).reshape(R, n, n) - S
+    S = (gam @ lift.reshape(R, N * n, n)
+         - (Ginv.reshape(R, 1, nn) @ blocks[:, 16 * nn:].reshape(R, nn, nn)).reshape(R, n, n))
+    return K - S
 
 
 def hcf_tangent(eqs: ComplexStructureEquations, x: np.ndarray, coeffs: np.ndarray
@@ -614,13 +679,14 @@ def hcf_tangent(eqs: ComplexStructureEquations, x: np.ndarray, coeffs: np.ndarra
     """
     x, coeffs = np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float)
     ok = _admissible_rows(x)
+    chern_flat = not eqs.D.any()
     # a row that overflows at the rim of the cone fails the finite test below
     with np.errstate(invalid="ignore", over="ignore"):
         if ok.all():
-            K = _tangent_rows(eqs.bracket, x, coeffs)
+            K = _tangent_rows(eqs.bracket, x, coeffs, chern_flat)
         else:
             K = np.zeros((len(x), eqs.n, eqs.n), dtype=complex)
-            K[ok] = _tangent_rows(eqs.bracket, x[ok], coeffs[ok])
+            K[ok] = _tangent_rows(eqs.bracket, x[ok], coeffs[ok], chern_flat)
         KH = K.conj().swapaxes(1, 2)
         size, defect = np.abs(K).max(axis=(1, 2)), np.abs(K - KH).max(axis=(1, 2))
     # a NaN row fails both tests

@@ -8,7 +8,8 @@ maximization) from many random starts and from the extreme eigenvectors
 of the form's two Hermitian matrices; witnesses are returned and
 re-certified by direct evaluation.  ``sign_verdicts`` gives the same
 verdicts, and skips the search for a tensor whose start values already
-straddle the tolerance by more than the search could undo.
+straddle the tolerance by more than the search could undo, or whose
+spectral bound already certifies the sign its start values show.
 """
 
 from __future__ import annotations
@@ -118,12 +119,16 @@ def _random_starts(seed: int, starts: int, n: int) -> tuple[np.ndarray, np.ndarr
     return units[:, 0], units[:, 1]
 
 
-def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Four start pairs (xi, nu) per block, read off the extreme eigenvectors
     of the two Hermitian matrices of its biquadratic: rows 0, 1 from the
-    bottom eigenvectors of ``M`` and ``M^G``, rows 2, 3 from their top ones.
-    ``blocks`` is one (n, n, n, n) block, giving (4, n) stacks, or a
-    (T, n, n, n, n) stack of them, giving (T, 4, n) stacks.
+    bottom eigenvectors of ``M`` and ``M^G``, rows 2, 3 from their top ones;
+    and the bounds ``(max(lambda_min(M), lambda_min(M^G)), min(lambda_max(M),
+    lambda_max(M^G)))`` that ``q`` keeps at every pair of unit vectors, as
+    ``w`` is then a unit vector (the partial transpose bound of Peres, PRL
+    77, 1996).  ``blocks`` is one (n, n, n, n) block, giving (4, n) stacks
+    and (2,) bounds, or a (T, n, n, n, n) stack of them, giving (T, 4, n)
+    stacks and (T, 2) bounds.
 
     ``M[(i,k),(j,l)] = block[i,j,k,l]`` has ``q = w^H M w`` at ``w =
     conj(xi (x) nu)``, and the partial transpose ``M^G[(i,l),(j,k)] =
@@ -136,14 +141,16 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks = blocks.reshape((-1,) + (n,) * 4)
     mats = np.stack([blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n),
                      blocks.transpose(0, 1, 4, 2, 3).reshape(-1, n * n, n * n)], axis=1)
-    _, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
+    vals, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
+    bounds = np.stack([vals[:, :, 0].max(axis=1), vals[:, :, -1].min(axis=1)], axis=1)
     # rows: M bottom, M^G bottom, M top, M^G top
     W = vecs[:, [0, 1, 0, 1], :, [0, 0, -1, -1]].swapaxes(0, 1).reshape(-1, 4, n, n)
     W[:, 0::2] = W[:, 0::2].conj()
     u, _, vh = np.linalg.svd(W)
     xi = u[..., 0]
     xi[:, 1::2] = xi[:, 1::2].conj()
-    return xi.reshape(lead + (4, n)), vh[..., 0, :].reshape(lead + (4, n))
+    return (xi.reshape(lead + (4, n)), vh[..., 0, :].reshape(lead + (4, n)),
+            bounds.reshape(lead + (2,)))
 
 
 #: rows of the eigen-iteration that share one gathered copy of their
@@ -245,19 +252,20 @@ def _block_stack(omega: CurvatureTensor | np.ndarray, starts: int,
 
 
 def _start_rows(blocks: np.ndarray, seeds: list, starts: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The start rows of the (T, n, n, n, n) stack ``blocks``, as (T·R, n)
-    stacks (xi, nu) of R rows per tensor, and the (R,) mask of the rows that
-    minimize.  Per tensor, rows [0, S) minimize and [S, 2S) maximize from
-    its seed's ``starts`` random pairs; its four spectral rows follow, two
-    minimizing, then two maximizing."""
+    stacks (xi, nu) of R rows per tensor, the (R,) mask of the rows that
+    minimize, and the (T, 2) spectral bounds of ``_spectral_starts``.  Per
+    tensor, rows [0, S) minimize and [S, 2S) maximize from its seed's
+    ``starts`` random pairs; its four spectral rows follow, two minimizing,
+    then two maximizing."""
     n = blocks.shape[-1]
     minimize = np.concatenate([np.arange(2 * starts) < starts, [True, True, False, False]])
     xi0, nu0 = zip(*(_random_starts(s, starts, n) for s in seeds))
-    xi_s, nu_s = _spectral_starts(blocks)
+    xi_s, nu_s, bounds = _spectral_starts(blocks)
     return (np.concatenate([np.concatenate([xi, xi, s]) for xi, s in zip(xi0, xi_s)]),
             np.concatenate([np.concatenate([nu, nu, s]) for nu, s in zip(nu0, nu_s)]),
-            minimize)
+            minimize, bounds)
 
 
 def _verdict(best_min: float, best_max: float, tol: float, stationary: bool) -> Verdict:
@@ -298,7 +306,7 @@ def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
     if not live.size:
         return results[0] if single else results
     stack = blocks[live]
-    xi0, nu0, minimize = _start_rows(stack, [seed[q] for q in live], starts)
+    xi0, nu0, minimize, _ = _start_rows(stack, [seed[q] for q in live], starts)
     values, xis, nus, ok = _alternate(
         stack, np.repeat(np.arange(len(live)), len(minimize)), xi0, nu0,
         minimize=np.tile(minimize, len(live)))
@@ -337,11 +345,18 @@ def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STA
     monotonicity slack ``1e-12 (1 + |value| + max|block|)`` per step, over
     at most ``MAX_ALTERNATIONS`` steps; as ``|q| <= n^2 max|block|`` at unit
     vectors, a row ends within ``margin = MAX_ALTERNATIONS 1e-12 (1 + (n^2
-    + 1) max|block|)`` of where it starts, or better.  A tensor whose best
-    minimizing start lies below ``-tol - margin`` and whose best maximizing
-    start lies above ``tol + margin`` is therefore INDEFINITE in
-    ``classify`` too, and is decided here; only the other tensors go
-    through ``classify``.
+    + 1) max|block|)`` of where it starts, or better.  No row ends beyond
+    the spectral bounds of ``_spectral_starts``, which hold at every pair of
+    unit vectors.  So a tensor is decided here, and only the others go
+    through ``classify``, when
+
+    * its best minimizing start lies below ``-tol - margin`` and its best
+      maximizing start above ``tol + margin``: INDEFINITE, as in
+      ``classify``;
+    * its lower bound clears ``-tol`` by ``margin`` and its best maximizing
+      start lies above ``tol + margin``: NON_NEGATIVE, which ``classify``
+      says too, or INDETERMINATE where a row does not settle;
+    * the mirror case: NON_POSITIVE.
     """
     blocks, seed, single, magnitudes, live = _block_stack(omega, starts, seed)
     n = blocks.shape[-1]
@@ -349,18 +364,23 @@ def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STA
     undecided = []
     if live.size:
         stack, size = blocks[live], magnitudes[live]
-        xi, nu, minimize = _start_rows(stack, [seed[q] for q in live], starts)
+        xi, nu, minimize, bounds = _start_rows(stack, [seed[q] for q in live], starts)
         owner = np.repeat(np.arange(len(live)), len(minimize))
         values = _row_values(stack, owner, xi, nu, size[owner]).reshape(len(live), -1)
         margin = MAX_ALTERNATIONS * 1e-12 * (1.0 + (n * n + 1) * size)
-        for w, q in enumerate(live):
-            verdict = _verdict(values[w, minimize].min() + margin[w],
-                               values[w, ~minimize].max() - margin[w],
-                               VERDICT_RTOL * float(size[w]), stationary=False)
-            if verdict is Verdict.INDEFINITE:
-                verdicts[q] = verdict
-            else:
+        tol = VERDICT_RTOL * size
+        # the worst the search could make of the best starts, and whether the
+        # spectral bounds settle the sign of the side the starts cannot
+        best_min = values[:, minimize].min(axis=1) + margin
+        best_max = values[:, ~minimize].max(axis=1) - margin
+        certified = (bounds[:, 0] >= -tol + margin) | (bounds[:, 1] <= tol - margin)
+        for w, q in enumerate(live.tolist()):
+            verdict = _verdict(float(best_min[w]), float(best_max[w]), float(tol[w]),
+                               stationary=bool(certified[w]))
+            if verdict is Verdict.INDETERMINATE:
                 undecided.append(q)
+            else:
+                verdicts[q] = verdict
     if undecided:
         rest = classify(blocks[undecided], starts, [seed[q] for q in undecided])
         for q, result in zip(undecided, rest):

@@ -17,6 +17,9 @@
 * The per-start draw of ``classify``'s random start pairs
   (``random_unit``), which ``positivity._random_starts`` batches; the batch
   must reproduce it bit for bit.
+* The one-attempt-per-call metric sampler and the per-metric frame metric,
+  which ``sample_admissible_metrics`` and ``frame_metrics`` stack; the
+  stacks must read the same stream and give the same bits.
 * Helpers that only the tests use: the invariant exterior derivative and
   the pluriclosed predicate built on it, the Bismut-Chern comparison
   identity, the conjugation symmetry of a bracket table, the full Chern
@@ -40,16 +43,49 @@ from hermflow.catalog import (CASE_INDEX, CASES, NAMED_FLOWS, ClassificationRow,
                               _sample_slice, _witnesses, bismut_curvature,
                               instantiate)
 from hermflow.flows import Termination
-from hermflow.invariant import (_DP_A, _DP_E, CURVATURE_COMPONENT_SIGN, FLOW_ATOL,
-                                FLOW_MIN_STEP, FLOW_RTOL, BracketTable,
-                                ConnectionCoefficients, ConnectionKind,
-                                CplxReport, FlowDegenerationError,
-                                FlowStepStats, InvariantFlowResult,
-                                MetricCoefficients, MetricError,
-                                _coefficient_rates, connection, dualize,
-                                frame_metric, sample_admissible_metric)
+from hermflow.invariant import (_DP_A, _DP_E, _SAMPLE_HIGH, _SAMPLE_LOW,
+                                CURVATURE_COMPONENT_SIGN, FLOW_ATOL,
+                                FLOW_MIN_STEP, FLOW_RTOL, SAMPLE_MAX_TRIES,
+                                BracketTable, ConnectionCoefficients,
+                                ConnectionKind, CplxReport,
+                                FlowDegenerationError, FlowStepStats,
+                                InvariantFlowResult, MetricCoefficients,
+                                MetricError, _coefficient_rates, connection,
+                                dualize)
 from hermflow.positivity import classify
 from hermflow.tensors import CurvatureTensor, frame_label, zero_threshold
+
+# ---------------------------------------------------------------------------
+# the one-attempt sampler and the per-metric frame metric
+# ---------------------------------------------------------------------------
+
+def sample_admissible_metric(rng: np.random.Generator,
+                             fixed: dict | None = None) -> MetricCoefficients:
+    """One admissible metric, drawing one attempt of nine uniforms per call
+    of ``rng`` until one is admissible, at most ``SAMPLE_MAX_TRIES``."""
+    fixed = dict(fixed or {})
+    for _ in range(SAMPLE_MAX_TRIES):
+        r2, s2, t2, *polar = rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH).tolist()
+        vals = {"r2": r2, "s2": s2, "t2": t2}
+        for name, area, angle in zip(("u", "v", "z"), polar[0::2], polar[1::2]):
+            vals[name] = 0.4 * np.sqrt(area) * np.exp(1j * angle)
+        vals.update(fixed)
+        m = MetricCoefficients(**vals)
+        if m.is_admissible():
+            return m
+    raise MetricError("could not sample an admissible metric under the given constraints")
+
+
+def frame_metric(m: MetricCoefficients) -> np.ndarray:
+    """``g[A, B] = g(e_A, e_B)`` from ``hermitian_matrix``, one metric."""
+    m.validate()
+    G = m.hermitian_matrix()
+    n = G.shape[0]
+    g = np.zeros((2 * n, 2 * n), dtype=complex)
+    g[:n, n:] = G
+    g[n:, :n] = G.T
+    return g
+
 
 # ---------------------------------------------------------------------------
 # the einsum connections and curvature

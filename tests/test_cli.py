@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -339,6 +340,33 @@ def test_flow_with_overflowing_coefficients_exits_2(capsys, coeffs, reason):
                          "--beta0", "0", "--t-end", "0.01")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and reason in err
+
+
+def _strict_json(text):
+    """``json.loads`` refusing ``Infinity`` and ``NaN``, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_flow_into_an_overflow_prints_only_finite_numbers(capsys, fmt):
+    # beta passes 9e305 at t = 22.29; the step whose stages overflow a double
+    # leaves the cone, where it printed beta = gamma = inf, exit 0
+    code, out, err = run(capsys, "flow", "--coeffs", "0,0,1,0", "--n", "3", "--alpha0", "1",
+                         "--beta0", "0", "--t-end", "30", "--format", fmt)
+    assert code == 0
+    summary = _strict_json(err)["summary"]
+    assert summary["termination"] == "left_admissible_cone"
+    assert 22.2 < summary["exit_time"] < 22.3
+    if fmt == "json":
+        doc = _strict_json(out)
+        assert doc["t"][-1] == summary["exit_time"]
+        assert doc["beta"][-1] > 1e305
+    else:
+        rows = out.splitlines()
+        assert rows[0] == "t,alpha,beta,gamma"
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
 
 
 def test_flow_step_below_the_floor_exits_2(capsys):

@@ -273,13 +273,16 @@ def _count_calls(monkeypatch, module, name):
 
 def test_flow_preservation_calls_traced_names(monkeypatch):
     tangents = _count_calls(monkeypatch, invariant, "hcf_tangent")
+    verdicts = _count_calls(monkeypatch, positivity, "sign_verdicts")
     classifies = _count_calls(monkeypatch, positivity, "classify")
     rep = catalog.flow_preservation_check("Nii/main", extra_flows=1, t_end=0.05,
                                           dt=2e-3, seed=3, starts=4)
     assert rep.verdict_preserved
     assert len(tangents) > 0
-    # every checkpoint of the case goes through one batched call
-    assert len(classifies) == 1
+    # every checkpoint of the case goes through one batched call, whose
+    # start values decide every verdict
+    assert len(verdicts) == 1
+    assert len(classifies) == 0
 
 
 def test_large_checkpoint_block_keeps_the_monotonicity_check_quiet():

@@ -196,11 +196,18 @@ def test_trajectory_export_round_trip(tmp_path):
 # reference: the step-doubling loop on numpy state vectors that the scalar
 # stepper replaced, which recomputed the slope at the state in each step.
 # The scalar stepper must reproduce it bit for bit, since the CONVERGED rule
-# counts steps and `hermflow flow` prints every state.
+# counts steps and `hermflow flow` prints every state.  Both count an
+# infinite or NaN stage or result as outside the cone.
 # ---------------------------------------------------------------------------
+
+def _check_cone(y):
+    _check_state(y[0], y[1])
+    flows.check_finite(alpha=y[0], beta=y[1])
+
 
 def _reference_rk4_step(state, fc, n, dt):
     def rhs(y):
+        _check_cone(y)
         ad, bd = ode_rhs((y[0], y[1]), fc, n)
         return np.array([ad, bd])
 
@@ -215,7 +222,7 @@ def _reference_fixed_step(alpha0, beta0, fc, n, t_end, dt):
     state = np.array([float(alpha0), float(beta0)])
     for _ in range(int(round(t_end / dt))):
         state = _reference_rk4_step(state, fc, n, dt)
-        _check_state(state[0], state[1])
+        _check_cone(state)
     return float(state[0]), float(state[1])
 
 
@@ -231,11 +238,11 @@ def _reference_integrate(alpha0, beta0, fc, n, t_end, dt=1e-3):
     def attempt(y, h):
         try:
             full = _reference_rk4_step(y, fc, n, h)
-            _check_state(full[0], full[1])
+            _check_cone(full)
             half = _reference_rk4_step(y, fc, n, 0.5 * h)
-            _check_state(half[0], half[1])
+            _check_cone(half)
             fine = _reference_rk4_step(half, fc, n, 0.5 * h)
-            _check_state(fine[0], fine[1])
+            _check_cone(fine)
         except ValueError:
             return None
         gamma_err = abs(full[1] / full[0] - fine[1] / fine[0])
@@ -335,6 +342,24 @@ def test_overflowing_slope_ends_the_flow_like_the_reference(alpha0, beta0, fc, n
         _assert_same_trajectory(got, _reference_integrate(*args))
     assert got.termination is Termination.LEFT_ADMISSIBLE_CONE
     assert got.exit_time == 0.0
+
+
+def test_overflowing_stage_ends_the_flow_at_its_last_finite_state():
+    # beta passes 9e305 at t = 22.29, where a stage overflows a double; inf
+    # passed the cone test, and the doubling test's inf - inf = NaN accepted
+    # the step, which recorded beta = gamma = inf
+    fc = FlowCoefficients(0.0, 0.0, 1.0, 0.0)
+    got = integrate(1.0, 0.0, fc, 3, 30.0, 1e-3)
+    assert got.termination is Termination.LEFT_ADMISSIBLE_CONE
+    assert got.exit_time == got.times[-1]
+    for values in (got.alphas, got.betas, got.gammas):
+        assert np.isfinite(values).all()
+    assert got.betas[-1] > 1e305
+    # the reference, from a state 40 records before the exit
+    args = (1.7833136927281318e+152, 5.088332250066824e+305, fc, 3, 1.0, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_trajectory(integrate(*args), _reference_integrate(*args))
+    assert integrate(*args).betas[-1] == got.betas[-1]
 
 
 @pytest.mark.slow

@@ -229,7 +229,8 @@ def _scalar_classify(block, starts, seed):
         if val > best_max:
             best_max, max_wit = val, (xi, nu)
     # the spectral rows come after every random start, so ties stay there
-    for xi0, nu0, minimize in zip(*_spectral_starts(block), (True, True, False, False)):
+    xis, nus, _ = _spectral_starts(block)
+    for xi0, nu0, minimize in zip(xis, nus, (True, True, False, False)):
         val, xi, nu, ok = _scalar_alternate(block, xi0, nu0, minimize=minimize)
         stationary &= ok
         if minimize and val < best_min:
@@ -286,8 +287,10 @@ def test_spectral_starts_reach_a_product_minimum(rng):
     n = 3
     a, b = random_unit(rng, n), random_unit(rng, n)
     block = -np.einsum("i,j,k,l->ijkl", a.conj(), a, b.conj(), b)
-    xis, nus = _spectral_starts(block)
+    xis, nus, bounds = _spectral_starts(block)
     assert xis.shape == nus.shape == (4, n)
+    # M and M^G are both minus one rank-one projector
+    assert bounds == pytest.approx([-1.0, 0.0], abs=1e-12)
     assert np.allclose(np.linalg.norm(xis, axis=1), 1.0)
     assert np.allclose(np.linalg.norm(nus, axis=1), 1.0)
     for xi, nu in zip(xis[:2], nus[:2]):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from hermflow.catalog import CASES, instantiate
-from hermflow.invariant import (ComplexStructureEquations, IntegrabilityError,
-                                MetricCoefficients, MetricError, dualize,
-                                frame_metric, sample_admissible_metric)
+from hermflow.invariant import (SAMPLE_MAX_TRIES, ComplexStructureEquations,
+                                IntegrabilityError, MetricCoefficients,
+                                MetricError, dualize, frame_metric,
+                                frame_metrics, sample_admissible_metric,
+                                sample_admissible_metrics)
 from hermflow.tensors import frame_offset
+from tests import reference
 from tests.reference import conjugation_symmetry_residual
 
 
@@ -137,3 +140,58 @@ def test_sampler_respects_constraints(rng):
         assert 0.5 <= m.s2 <= 2.0
         assert abs(m.u) <= 0.4
         m.validate()
+
+
+def _bits(values) -> list:
+    """Every real and imaginary part of ``values``, with the sign of zero."""
+    parts = np.asarray(values, dtype=complex).view(float).ravel()
+    return [(float(v), bool(np.signbit(v))) for v in parts]
+
+
+SAMPLER_SPECS = [None, {"r2": 1.0, "v": 0, "z": 0}, {"u": 0, "v": 0, "z": 0},
+                 {"z": 0.2 - 0.1j}, {"s2": 0.6, "t2": 0.6, "u": 0.39j}]
+
+
+@pytest.mark.parametrize("fixed", SAMPLER_SPECS, ids=range(len(SAMPLER_SPECS)))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_sampler_reads_the_one_attempt_stream(seed, fixed):
+    for count in (1, 3, 32, 200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_admissible_metrics(rng, count, fixed)
+        want = [reference.sample_admissible_metric(ref, fixed) for _ in range(count)]
+        assert [_bits(m.as_array()) for m in got] == [_bits(m.as_array()) for m in want]
+        # and leaves the stream where the one-attempt draws leave it
+        assert rng.random() == ref.random()
+        assert _bits(frame_metrics(np.array([m.as_array() for m in got]))) == \
+            _bits([reference.frame_metric(m) for m in want])
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _bits(sample_admissible_metric(rng, fixed).as_array()) == \
+        _bits(reference.sample_admissible_metric(ref, fixed).as_array())
+
+
+def test_stacked_sampler_gives_up_where_the_one_attempt_sampler_does():
+    # r2 s2 > |u|^2 needs s2 > 3.75, beyond the draws of s2
+    fixed = {"r2": 0.6, "u": 1.5}
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(MetricError) as got:
+        sample_admissible_metrics(rng, 4, fixed)
+    with pytest.raises(MetricError) as want:
+        reference.sample_admissible_metric(ref, fixed)
+    assert str(got.value) == str(want.value)
+    # after SAMPLE_MAX_TRIES attempts of nine uniforms each
+    fresh = np.random.default_rng(5)
+    fresh.uniform(size=(SAMPLE_MAX_TRIES, 9))
+    assert rng.random() == ref.random() == fresh.random()
+
+
+def test_frame_metrics_refuse_the_first_row_outside_the_cone():
+    good = MetricCoefficients(1.0, 1.0, 1.0).as_array()
+    rows = [good, MetricCoefficients(1.0, 1.0, 1.0, v=1.5).as_array(),
+            MetricCoefficients(-1.0, 1.0, 1.0).as_array()]
+    # above the size at which the cone test runs on columns, too
+    for stack in (np.array(rows), np.array([good] * 20 + rows)):
+        with pytest.raises(MetricError) as info:
+            frame_metrics(stack)
+        assert str(info.value) == "s2*t2 > |v|^2 fails: 1.0 <= 2.25"
+    assert np.array_equal(frame_metric(MetricCoefficients(1.0, 1.0, 1.0)),
+                          frame_metrics(good[None])[0])

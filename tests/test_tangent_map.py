@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from hermflow import catalog, invariant
 from hermflow.catalog import CASES, instantiate
 from hermflow.flows import NAMED_FLOWS
-from hermflow.invariant import (ComplexStructureEquations, MetricCoefficients,
-                                _admissible_rows, _j_diagonal, _koszul_lowered,
-                                d_omega, dualize, frame_metric, hcf_tangent,
-                                sample_admissible_metric)
+from hermflow.invariant import (ComplexStructureEquations, ConnectionKind,
+                                MetricCoefficients, _admissible_rows, _j_diagonal,
+                                _koszul_lowered, connection, d_omega, dualize,
+                                frame_metric, hcf_tangent, sample_admissible_metric)
 from tests import reference
 
 MAP_RTOL = 1e-15
+#: the reference torsion raises by inv(g) and lowers again by G
+TORSION_RTOL = 1e-13
 
 
 # --- the per-bracket coordinate map ------------------------------------------
@@ -39,15 +41,40 @@ def test_tangent_map_reproduces_the_chern_block(case, rng):
         m = sample_admissible_metric(rng)
         G, low = _chern_blocks(f, m)
         blocks = m.as_array() @ bracket.tangent_map
-        assert blocks.shape == (198,)
+        assert blocks.shape == (225,)
         assert reference.relative_error(blocks[:9].reshape(3, 3), G) <= MAP_RTOL
+        conn = connection(ConnectionKind.CHERN, bracket, frame_metric(m))
+        torsion = reference.chern_torsion(conn, bracket).lowered_hol
+        assert reference.relative_error(blocks[9:36].reshape(3, 3, 3), torsion) <= TORSION_RTOL
         # ordered (i, A, k), so that raising by Ginv lays out gam for the trace
-        assert reference.relative_error(blocks[9:63].reshape(3, 6, 3).transpose(1, 0, 2),
+        assert reference.relative_error(blocks[36:90].reshape(3, 6, 3).transpose(1, 0, 2),
                                         low) <= MAP_RTOL
         sources = np.concatenate([-low[3:], low[:3]])
-        assert reference.relative_error(blocks[63:117].reshape(6, 3, 3), sources) <= MAP_RTOL
+        assert reference.relative_error(blocks[90:144].reshape(6, 3, 3), sources) <= MAP_RTOL
         W = np.einsum("abe,ecd->bacd", f[:3, 3:], low).reshape(9, 9)
-        assert reference.relative_error(blocks[117:].reshape(9, 9), W) <= MAP_RTOL
+        assert reference.relative_error(blocks[144:].reshape(9, 9), W) <= MAP_RTOL
+
+
+def test_chern_flat_brackets_are_those_without_mixed_terms():
+    # with D = 0 the lowered Chern block, the trace sources and W vanish at
+    # every metric, and only G and the torsion remain
+    flat = []
+    for case in CASES:
+        eqs = instantiate(case.family, **case.params)
+        assert (not eqs.bracket.tangent_map[:, 36:].any()) is (not eqs.D.any()), case.key
+        flat += [case.key] if not eqs.D.any() else []
+    assert flat == ["Np/torus", "Np/iwasawa", "Siv1"]
+
+
+@pytest.mark.parametrize("key", ["Np/torus", "Np/iwasawa", "Siv1"])
+def test_skipped_chern_trace_equals_the_general_tangent(key, rng):
+    case = catalog.CASE_INDEX[key]
+    bracket = instantiate(case.family, **case.params).bracket
+    x = np.array([sample_admissible_metric(rng).as_array() for _ in range(12)])
+    coeffs = rng.uniform(-1, 1, (12, 4))
+    skipped = invariant._tangent_rows(bracket, x, coeffs, chern_flat=True)
+    general = invariant._tangent_rows(bracket, x, coeffs, chern_flat=False)
+    assert reference.relative_error(skipped, general) <= 1e-13
 
 
 def test_tangent_map_is_built_once_per_bracket(monkeypatch, rng):
@@ -117,6 +144,9 @@ def test_stacked_cone_mask_equals_is_admissible(rows):
     mask = _admissible_rows(x)
     metrics = [MetricCoefficients.from_array(r) for r in x]
     assert mask.tolist() == [m.is_admissible() for m in metrics]
+    # a stack above _FEW_ROWS takes the test on columns
+    copies = invariant._FEW_ROWS + 1
+    assert np.array_equal(_admissible_rows(np.tile(x, (copies, 1))), np.tile(mask, copies))
     for m, admissible in zip(metrics, mask):
         if admissible:
             m.validate()
