@@ -272,7 +272,10 @@ def _family_curvature(args):
     params = parse_assignments(args.params)
     m = parse_metric(args.metric)
     eqs = catalog.instantiate(args.family, **params)
-    return catalog.bismut_curvature(eqs, m), m
+    # huge admissible coefficients overflow to a non-finite curvature, which
+    # CurvatureTensor refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return catalog.bismut_curvature(eqs, m), m
 
 
 def cmd_cplx(args) -> int:

@@ -303,12 +303,6 @@ class MetricCoefficients:
                            f"s2*t2 > |v|^2 fails: {s2 * t2!r} <= {vv!r}",
                            f"8i*det(Xi) > 0 fails: {np.float64(det)!r}")[held.index(False)])
 
-    def det_indicator(self) -> float:
-        """The determinant-positivity scalar ``r2 s2 t2 + 2 Re(i conj(u v) z)
-        - (r2 |v|^2 + t2 |u|^2 + s2 |z|^2)`` (equals 8 det of the frame
-        metric block)."""
-        return np.float64(self._cone()[1][3])
-
     def is_admissible(self) -> bool:
         return all(self._cone()[0])
 

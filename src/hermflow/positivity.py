@@ -68,28 +68,27 @@ class SignClassification:
 
 
 def biquadratic(block: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> float:
-    block, xi, nu = np.asarray(block), np.asarray(xi), np.asarray(nu)
-    size = np.max(np.abs(block))
-    return float(_biquadratic_rows(block[None], xi[None], nu[None], size)[0])
+    return float(_values(np.asarray(block), np.asarray(xi)[None], np.asarray(nu)[None])[0])
 
 
-def _biquadratic_rows(blocks: np.ndarray, xi: np.ndarray, nu: np.ndarray,
-                      size: np.ndarray | float) -> np.ndarray:
-    """The biquadratic of ``blocks[s]`` at row ``s`` of the (S, n) stacks
-    ``xi`` and ``nu``.  ``size[s] = max|blocks[s]|`` scales the realness
-    test, as the rounding of the sum does."""
-    val = np.einsum("sijkl,si,sj,sk,sl->s", blocks, xi, np.conj(xi), nu, np.conj(nu))
-    if np.any(np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val) + size)):
+def _values(block: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The biquadratic of the (n, n, n, n) ``block`` at each row of the
+    (R, n) stacks ``xi`` and ``nu``, summed over a contiguous copy of the
+    block per row.  ``max|block|`` scales the realness test, as the rounding
+    of the sum does."""
+    rows = np.repeat(block[None], len(xi), axis=0)
+    val = np.einsum("sijkl,si,sj,sk,sl->s", rows, xi, np.conj(xi), nu, np.conj(nu))
+    if np.any(np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val) + np.max(np.abs(block)))):
         raise AssertionError(f"biquadratic value is not real: {val!r}")
     return val.real
 
 
 def _partial_matrix(blocks: np.ndarray, vecs: np.ndarray, frozen: str,
-                    size: np.ndarray | float) -> np.ndarray:
+                    size: float) -> np.ndarray:
     """Hermitian matrices left after freezing one argument of the biquadratic
     of ``blocks[s]`` at row ``s`` of the (S, n) stack ``vecs``; returns an
-    (S, n, n) stack.  ``size[s] = max|blocks[s]|`` scales the Hermitian
-    defect test.
+    (S, n, n) stack.  ``size = max|blocks|`` scales the Hermitian defect
+    test.
 
     The free slot pairs as ``sum_ij x_i A[i, j] conj(x_j)``, which is the
     standard Hermitian form of ``A`` transposed; the transpose is applied
@@ -153,60 +152,35 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             bounds.reshape(lead + (2,)))
 
 
-#: rows of the eigen-iteration that share one gathered copy of their
-#: blocks: a copy of every row's block would add its size (1.3 MB for a
-#: table3 case) to the peak memory, while below about 512 rows the per-chunk
-#: overhead starts to show
-ROW_CHUNK = 512
-
-
-def _row_values(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
-                nu: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The biquadratic of ``blocks[owner[r]]`` at row ``r`` of the (R, n)
-    stacks ``xi``, ``nu``, gathered ``ROW_CHUNK`` rows at a time; ``size[r]``
-    is the magnitude of row ``r``'s block."""
-    value = np.empty(len(owner))
-    for at in range(0, len(owner), ROW_CHUNK):
-        part = slice(at, at + ROW_CHUNK)
-        value[part] = _biquadratic_rows(blocks[owner[part]], xi[part], nu[part], size[part])
-    return value
-
-
-def _alternate(blocks: np.ndarray, owner: np.ndarray, xi: np.ndarray,
-               nu: np.ndarray, minimize: np.ndarray
+def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray, minimize: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating eigen-iteration on every row of the (R, n) start stacks
-    ``xi``, ``nu`` at once, row ``r`` on the block ``blocks[owner[r]]`` of
-    the (T, n, n, n, n) stack ``blocks``; it minimizes where ``minimize[r]``
-    is set and maximizes otherwise.  Each half step is an exact optimum, so
-    every row's objective is monotone.  A row retires once its value is
-    stationary.  Returns per-row (value, xi, nu, stationary).
+    """Alternating eigen-iteration on the (n, n, n, n) ``block`` from every
+    row of the (R, n) start stacks ``xi``, ``nu`` at once; it minimizes
+    where ``minimize[r]`` is set and maximizes otherwise.  Each half step is
+    an exact optimum, so every row's objective is monotone.  A row retires
+    once its value is stationary.  Returns per-row (value, xi, nu,
+    stationary).
 
-    The rows are gathered ``ROW_CHUNK`` at a time, each chunk's block copy
-    freed before the next is made; a row's arithmetic does not depend on
-    the rows beside it."""
+    Every row sums over its own contiguous copy of the block, as
+    ``_values`` does; the copies are made once, and the active rows take
+    the leading ones."""
     pick = np.where(minimize, 0, -1)
     # eigh and the sums round at the scale of the block, so every check's
     # slack does too
-    size = np.max(np.abs(blocks.reshape(len(blocks), -1)), axis=1)[owner]
-    value = _row_values(blocks, owner, xi, nu, size)
+    size = np.max(np.abs(block))
+    rows = np.repeat(block[None], len(xi), axis=0)
+    value = _values(block, xi, nu)
     xi, nu = xi.copy(), nu.copy()
     stationary = np.zeros(len(value), dtype=bool)
     active = np.arange(len(value))
     for _ in range(MAX_ALTERNATIONS):
-        new_xi, new_nu = np.empty_like(xi[active]), np.empty_like(nu[active])
-        new_value = np.empty(len(active))
-        for at in range(0, len(active), ROW_CHUNK):
-            part, own = active[at:at + ROW_CHUNK], slice(at, at + ROW_CHUNK)
-            rows, cols = np.arange(len(part)), pick[part]
-            mine, scale = blocks[owner[part]], size[part]
-            _, vecs = np.linalg.eigh(_partial_matrix(mine, nu[part], "nu", scale))
-            new_xi[own] = vecs[rows, :, cols]
-            vals, vecs = np.linalg.eigh(_partial_matrix(mine, new_xi[own], "xi", scale))
-            new_nu[own], new_value[own] = vecs[rows, :, cols], vals[rows, cols]
-            del mine
+        mine, at, cols = rows[:len(active)], np.arange(len(active)), pick[active]
+        _, vecs = np.linalg.eigh(_partial_matrix(mine, nu[active], "nu", size))
+        new_xi = vecs[at, :, cols]
+        vals, vecs = np.linalg.eigh(_partial_matrix(mine, new_xi, "xi", size))
+        new_nu, new_value = vecs[at, :, cols], vals[at, cols]
         old = value[active]
-        slack = 1e-12 * (1.0 + np.abs(old) + size[active])
+        slack = 1e-12 * (1.0 + np.abs(old) + size)
         mins = minimize[active]
         if np.any(mins & (new_value > old + slack)):
             raise AssertionError("alternating minimization increased the objective")
@@ -284,60 +258,51 @@ def _verdict(best_min: float, best_max: float, tol: float, stationary: bool) -> 
 
 
 def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
-             seed: int | Sequence[int] = 0):
+             seed: int = 0) -> SignClassification:
     """Classify the sign of the bisectional biquadratic of a curvature tensor.
 
     ``omega`` is either a full-frame :class:`CurvatureTensor` (its pure-type
     components are then required to vanish; otherwise the call refuses) or a
     raw mixed block of shape (n, n, n, n).  The minimum and the maximum are
     searched from the same ``starts`` random start pairs, and from two
-    spectral start pairs each (``_spectral_starts``), all in one batch.
-
-    A stacked tensor, or a (T, n, n, n, n) stack of blocks, with a sequence
-    of T seeds gives the list of their classifications, each equal to
-    classifying the tensor alone with its seed; the starts of all of them
-    form one batch.
+    spectral start pairs each (``_spectral_starts``), all in one batch.  A
+    stack of tensors is refused: ``sign_verdicts`` takes it.
     """
-    blocks, seed, single, magnitudes, live = _block_stack(omega, starts, seed)
-    zero = np.zeros(blocks.shape[-1], dtype=complex)
-    results = [SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero), (zero, zero),
-                                  VERDICT_RTOL * float(m), float(m), True)
-               for m in magnitudes]
+    data = omega.data if isinstance(omega, CurvatureTensor) else omega
+    if isinstance(data, np.ndarray) and data.ndim == 5:
+        raise ValueError("classify takes one tensor; sign_verdicts takes a stack")
+    blocks, seeds, _, magnitudes, live = _block_stack(omega, starts, seed)
+    block, magnitude = blocks[0], float(magnitudes[0])
+    tol = VERDICT_RTOL * magnitude
     if not live.size:
-        return results[0] if single else results
-    stack = blocks[live]
-    xi0, nu0, minimize, _ = _start_rows(stack, [seed[q] for q in live], starts)
-    values, xis, nus, ok = _alternate(
-        stack, np.repeat(np.arange(len(live)), len(minimize)), xi0, nu0,
-        minimize=np.tile(minimize, len(live)))
-    min_rows = np.flatnonzero(minimize)
-    max_rows = np.flatnonzero(~minimize)
-    for w, (q, block) in enumerate(zip(live, stack)):
-        magnitude = float(magnitudes[q])
-        own = slice(w * len(minimize), (w + 1) * len(minimize))
-        vals, xi, nu, tol = values[own], xis[own], nus[own], VERDICT_RTOL * magnitude
-        # first best wins, as argmin/argmax return the first extreme, so a
-        # tie goes to a random start
-        i_min = int(min_rows[np.argmin(vals[min_rows])])
-        i_max = int(max_rows[np.argmax(vals[max_rows])])
-        best_min, min_wit = float(vals[i_min]), (xi[i_min], nu[i_min])
-        best_max, max_wit = float(vals[i_max]), (xi[i_max], nu[i_max])
-        stationary = bool(np.all(ok[own]))
-        # certify the extremes at the returned witnesses
-        for val, wit in ((best_min, min_wit), (best_max, max_wit)):
-            recheck = biquadratic(block, *wit)
-            if abs(recheck - val) > 1e-10 * (1.0 + abs(val) + magnitude):
-                raise AssertionError("witness does not reproduce its extreme value")
-        results[q] = SignClassification(_verdict(best_min, best_max, tol, stationary),
-                                        best_min, best_max, min_wit, max_wit,
-                                        tol, magnitude, stationary)
-    return results[0] if single else results
+        zero = np.zeros(len(block), dtype=complex)
+        return SignClassification(Verdict.FLAT, 0.0, 0.0, (zero, zero), (zero, zero),
+                                  tol, magnitude, True)
+    xi0, nu0, minimize, _ = _start_rows(blocks, seeds, starts)
+    vals, xi, nu, ok = _alternate(block, xi0, nu0, minimize)
+    min_rows, max_rows = np.flatnonzero(minimize), np.flatnonzero(~minimize)
+    # first best wins, as argmin/argmax return the first extreme, so a tie
+    # goes to a random start
+    i_min = int(min_rows[np.argmin(vals[min_rows])])
+    i_max = int(max_rows[np.argmax(vals[max_rows])])
+    best_min, min_wit = float(vals[i_min]), (xi[i_min], nu[i_min])
+    best_max, max_wit = float(vals[i_max]), (xi[i_max], nu[i_max])
+    stationary = bool(np.all(ok))
+    # certify the extremes at the returned witnesses
+    for val, wit in ((best_min, min_wit), (best_max, max_wit)):
+        recheck = biquadratic(block, *wit)
+        if abs(recheck - val) > 1e-10 * (1.0 + abs(val) + magnitude):
+            raise AssertionError("witness does not reproduce its extreme value")
+    return SignClassification(_verdict(best_min, best_max, tol, stationary), best_min,
+                              best_max, min_wit, max_wit, tol, magnitude, stationary)
 
 
 def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
                   seed: int | Sequence[int] = 0):
-    """The verdicts of ``classify(omega, starts, seed)``, without refining
-    the extremes of a tensor whose start values already fix its verdict.
+    """The verdict of ``classify(omega, starts, seed)``, without refining
+    the extremes of a tensor whose start values already fix it; a stacked
+    tensor, or a (T, n, n, n, n) stack of blocks, with a sequence of T seeds
+    gives the list of the verdicts of its tensors, each with its own seed.
 
     Takes, and refuses, what ``classify`` does, and builds the same start
     rows.  Each half step of the alternation is an exact eigen-optimum, and
@@ -361,12 +326,12 @@ def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STA
     blocks, seed, single, magnitudes, live = _block_stack(omega, starts, seed)
     n = blocks.shape[-1]
     verdicts = [Verdict.FLAT] * len(blocks)
-    undecided = []
     if live.size:
         stack, size = blocks[live], magnitudes[live]
         xi, nu, minimize, bounds = _start_rows(stack, [seed[q] for q in live], starts)
-        owner = np.repeat(np.arange(len(live)), len(minimize))
-        values = _row_values(stack, owner, xi, nu, size[owner]).reshape(len(live), -1)
+        rows = (len(live), len(minimize), n)
+        values = np.stack([_values(*row) for row in zip(stack, xi.reshape(rows),
+                                                        nu.reshape(rows))])
         margin = MAX_ALTERNATIONS * 1e-12 * (1.0 + (n * n + 1) * size)
         tol = VERDICT_RTOL * size
         # the worst the search could make of the best starts, and whether the
@@ -375,16 +340,10 @@ def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STA
         best_max = values[:, ~minimize].max(axis=1) - margin
         certified = (bounds[:, 0] >= -tol + margin) | (bounds[:, 1] <= tol - margin)
         for w, q in enumerate(live.tolist()):
-            verdict = _verdict(float(best_min[w]), float(best_max[w]), float(tol[w]),
-                               stationary=bool(certified[w]))
-            if verdict is Verdict.INDETERMINATE:
-                undecided.append(q)
-            else:
-                verdicts[q] = verdict
-    if undecided:
-        rest = classify(blocks[undecided], starts, [seed[q] for q in undecided])
-        for q, result in zip(undecided, rest):
-            verdicts[q] = result.verdict
+            verdicts[q] = _verdict(float(best_min[w]), float(best_max[w]), float(tol[w]),
+                                   stationary=bool(certified[w]))
+            if verdicts[q] is Verdict.INDETERMINATE:
+                verdicts[q] = classify(blocks[q], starts, seed[q]).verdict
     return verdicts[0] if single else verdicts
 
 

@@ -21,9 +21,9 @@ ALTERNATED_ROWS = {"Table3": 0, "FlowPres": 0}
 def test_one_workload_pass_has_no_failures(monkeypatch, name):
     rows, inner = [], positivity._alternate
 
-    def count(blocks, owner, *args, **kwargs):
-        rows.append(len(owner))
-        return inner(blocks, owner, *args, **kwargs)
+    def count(block, xi, *args):
+        rows.append(len(xi))
+        return inner(block, xi, *args)
 
     monkeypatch.setattr(positivity, "_alternate", count)
     # run_path compiles the source without writing a bytecode cache

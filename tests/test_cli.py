@@ -251,12 +251,17 @@ def test_invalid_metric_exits_2(capsys):
     assert code == 2 and "real" in err
 
 
-def test_huge_metric_coefficient_exits_2(capsys):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,metric,err", [
     # |u|^2 overflows a double: the cone test reports it instead of raising
-    code, out, err = run(capsys, "cplx", "--family", "Np", "--params", "rho=1",
-                         "--metric", "u=1e200")
-    assert code == 2 and out == ""
-    assert err == "error: r2*s2 > |u|^2 fails: 1.0 <= inf\n"
+    ("cplx", "u=1e200", "error: r2*s2 > |u|^2 fails: 1.0 <= inf\n"),
+    # an admissible metric whose curvature overflows: no numpy warning leaks
+    ("cplx", "t2=1e160", "error: curvature entries must be finite\n"),
+    ("classify", "t2=1e160", "error: curvature entries must be finite\n"),
+], ids=["cone-overflow", "cplx-curvature-overflow", "classify-curvature-overflow"])
+def test_huge_metric_coefficient_exits_2(capsys, command, metric, err):
+    argv = (command, "--family", "Np", "--params", "rho=1", "--metric", metric)
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_flow_json_format(capsys, tmp_path):

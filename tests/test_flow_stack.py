@@ -1,6 +1,6 @@
 """The stacked flow engine: the matmul tangent against the einsum reference,
 each row of the stacked Dormand-Prince integrator against the same flow run
-alone, the batched classifier against per-tensor calls, and the names
+alone, the batched verdicts against per-tensor classifications, and the names
 through which the benchmark tracer sees the flow-preservation check."""
 
 import sys
@@ -15,7 +15,7 @@ from hermflow.invariant import (MetricCoefficients, hcf_tangent,
                                 integrate_invariant_flow,
                                 integrate_invariant_flows, q_terms,
                                 sample_admissible_metric)
-from hermflow.positivity import classify
+from hermflow.positivity import classify, sign_verdicts
 from hermflow.tensors import CurvatureTensor
 from tests import reference
 from tests.conftest import random_point
@@ -200,17 +200,9 @@ def test_flow_preservation_matches_reference_on_criterion_8():
                                            want.verdict_preserved), key
 
 
-# --- batched classify --------------------------------------------------------
-
-def _assert_same_classification(got, want):
-    assert (got.verdict, got.min_value, got.max_value, got.tolerance,
-            got.magnitude, got.stationary) == (want.verdict, want.min_value,
-                                               want.max_value, want.tolerance,
-                                               want.magnitude, want.stationary)
-    for a, b in zip(got.min_witness + got.max_witness,
-                    want.min_witness + want.max_witness):
-        assert np.array_equal(a, b)
-
+# --- batched classification -------------------------------------------------
+# sign_verdicts classifies a stack; each verdict is classify's on the tensor
+# alone with its seed
 
 def test_batched_classify_equals_per_tensor_on_checkpoints(rng):
     tensors = []
@@ -220,11 +212,10 @@ def test_batched_classify_equals_per_tensor_on_checkpoints(rng):
                                                 dt=2e-3, checkpoints=2):
             tensors += [bismut_curvature(eqs, m) for m in result.metrics]
     seeds = [int(s) for s in rng.integers(0, 2 ** 31, len(tensors))]
-    batch = classify(CurvatureTensor(3, "bismut", np.stack([t.data for t in tensors])),
-                     starts=8, seed=seeds)
-    assert len(batch) == len(tensors)
-    for got, omega, seed in zip(batch, tensors, seeds):
-        _assert_same_classification(got, classify(omega, starts=8, seed=seed))
+    batch = sign_verdicts(CurvatureTensor(3, "bismut", np.stack([t.data for t in tensors])),
+                          starts=8, seed=seeds)
+    assert batch == [classify(omega, starts=8, seed=seed).verdict
+                     for omega, seed in zip(tensors, seeds)]
 
 
 def _hopf_block(n, gamma, rng):
@@ -236,19 +227,18 @@ def _hopf_block(n, gamma, rng):
 def test_batched_classify_equals_per_tensor_on_hopf(n, rng):
     blocks = np.stack([_hopf_block(n, gamma, rng) for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)])
     seeds = list(range(len(blocks)))
-    batch = classify(blocks, starts=16, seed=seeds)
-    for got, block, seed in zip(batch, blocks, seeds):
-        _assert_same_classification(got, classify(block, starts=16, seed=seed))
+    assert sign_verdicts(blocks, starts=16, seed=seeds) == [
+        classify(block, starts=16, seed=seed).verdict for block, seed in zip(blocks, seeds)]
 
 
 def test_batched_classify_needs_a_seed_per_tensor(rng):
     blocks = np.stack([_hopf_block(2, 0.3, rng)])
     with pytest.raises(ValueError, match="seeds"):
-        classify(blocks, seed=[1, 2])
-    assert classify(blocks[:0], seed=[]) == []
+        sign_verdicts(blocks, seed=[1, 2])
+    assert sign_verdicts(blocks[:0], seed=[]) == []
     # a batch is a stack, not a list
     with pytest.raises(TypeError):
-        classify(list(blocks), seed=[1])
+        sign_verdicts(list(blocks), seed=[1])
 
 
 # --- the tracer's view of the flow-preservation check ----------------------

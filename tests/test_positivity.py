@@ -91,8 +91,7 @@ def test_alternating_iteration_monotone_and_certified(rng):
     block = omega.mixed_block()
     pairs = [(random_unit(rng, 3), random_unit(rng, 3)) for _ in range(10)]
     xi0, nu0 = (np.array(v) for v in zip(*pairs))
-    vals, xis, nus, ok = _alternate(block[None], np.zeros(10, dtype=int),
-                                    xi0, nu0, minimize=np.ones(10, dtype=bool))
+    vals, xis, nus, ok = _alternate(block, xi0, nu0, np.ones(10, dtype=bool))
     assert vals.shape == ok.shape == (10,)
     for val, xi, nu, stationary, a, b in zip(vals, xis, nus, ok, xi0, nu0):
         assert stationary
@@ -139,6 +138,13 @@ def test_classify_accepts_raw_block():
     assert res.verdict is Verdict.FLAT
     with pytest.raises(ValueError):
         classify(np.zeros((2, 3, 3, 3), dtype=complex))
+
+
+def test_classify_refuses_a_stack(unit_metric):
+    omegas = bismut_curvature(instantiate("Np", rho=1), [unit_metric, unit_metric])
+    for stack in (omegas, omegas.mixed_block()):
+        with pytest.raises(ValueError, match="sign_verdicts"):
+            classify(stack, seed=[0, 1])
 
 
 def test_nonpositive_verdict(rng):
@@ -309,10 +315,10 @@ def test_random_starts_equal_the_per_start_draw(n):
 
 
 def _assert_same_with_per_start_draw(monkeypatch, blocks, starts, seeds):
-    got = classify(blocks, starts, seeds)
+    got = [classify(block, starts, seed) for block, seed in zip(blocks, seeds)]
     with monkeypatch.context() as patched:
         patched.setattr(positivity, "_random_starts", reference.random_starts)
-        want = classify(blocks, starts, seeds)
+        want = [classify(block, starts, seed) for block, seed in zip(blocks, seeds)]
     for a, b in zip(got, want):
         assert (a.verdict, a.min_value, a.max_value, a.stationary, a.tolerance,
                 a.magnitude) == (b.verdict, b.min_value, b.max_value, b.stationary,

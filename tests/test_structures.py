@@ -4,7 +4,7 @@ import pytest
 from hermflow.catalog import CASES, instantiate
 from hermflow.invariant import (SAMPLE_MAX_TRIES, ComplexStructureEquations,
                                 IntegrabilityError, MetricCoefficients,
-                                MetricError, dualize, frame_metric,
+                                MetricError, _cone_test, dualize, frame_metric,
                                 frame_metrics, sample_admissible_metric,
                                 sample_admissible_metrics)
 from hermflow.tensors import frame_offset
@@ -105,12 +105,17 @@ def test_metric_validate_messages(m, message):
     assert not m.is_admissible()
 
 
+def _det_indicator(m):
+    """The determinant indicator the cone test compares with zero."""
+    return _cone_test(*m.as_array())[1][3]
+
+
 def test_metric_determinant_indicator_value():
     m = MetricCoefficients(1.0, 1.0, 1.0, z=0.5)
-    assert m.det_indicator() == pytest.approx(0.75)
+    assert _det_indicator(m) == pytest.approx(0.75)
     m.validate()
     # matches 8 * det of the Hermitian block
-    assert m.det_indicator() == pytest.approx(
+    assert _det_indicator(m) == pytest.approx(
         8 * np.linalg.det(m.hermitian_matrix()).real)
 
 
@@ -118,7 +123,7 @@ def test_metric_rejects_negative_determinant_indicator():
     # pairwise inequalities hold but the full determinant fails
     m = MetricCoefficients(1.0, 1.0, 1.0, u=0.6, v=0.6, z=0.6j)
     assert m.r2 * m.s2 > abs(m.u) ** 2
-    assert m.det_indicator() < 0
+    assert _det_indicator(m) < 0
     with pytest.raises(MetricError, match="det"):
         m.validate()
 

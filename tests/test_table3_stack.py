@@ -2,7 +2,7 @@
 
 The pure-type scan computes its Bismut curvatures ``SCAN_CHUNK`` metrics to
 a stack and checks each stack at once; a case's sign samples go to one
-batched ``classify``.  Its curvatures are matrix products, which agree with
+``sign_verdicts`` call.  Its curvatures are matrix products, which agree with
 the reference einsums to round-off: the table it prints must give the same
 fields, verdicts and counts, with witness values equal to round-off, and the
 same markdown bytes.
@@ -19,7 +19,7 @@ from hermflow.catalog import (CASE_INDEX, CASES, SCAN_CHUNK, _sample_slice,
                               bismut_curvature, classify_case, instantiate,
                               regenerate_table3, render_markdown)
 from hermflow.invariant import check_cplx, dualize, sample_admissible_metric
-from hermflow.positivity import classify
+from hermflow.positivity import classify, sign_verdicts
 from hermflow.tensors import CurvatureTensor
 from tests import reference
 
@@ -70,43 +70,27 @@ def test_stacked_check_cplx_equals_per_tensor_reports(seed):
     assert seen_violations > 100
 
 
-def _same_classification(got, want):
-    assert got.verdict == want.verdict
-    assert got.min_value == want.min_value and got.max_value == want.max_value
-    assert got.stationary == want.stationary
-    assert got.tolerance == want.tolerance and got.magnitude == want.magnitude
-    for a, b in zip(got.min_witness + got.max_witness, want.min_witness + want.max_witness):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("row_chunk, starts", [(positivity.ROW_CHUNK, 64), (37, 16)])
-def test_batched_classify_equals_per_tensor_on_table3_sign_samples(row_chunk, starts,
-                                                                  monkeypatch):
-    # also with chunks that split a tensor's rows, since a row's arithmetic
-    # must not depend on the rows gathered beside it
+@pytest.mark.parametrize("starts", [64, 16])
+def test_batched_classify_equals_per_tensor_on_table3_sign_samples(starts):
+    # the batch is sign_verdicts over a case's stack of sign samples
     rng = np.random.default_rng(3)
-    samples = []
     for case in (c for c in CASES if c.expected_verdict):
         eqs = instantiate(case.family, **case.params)
         metrics, seeds = [], []
         for _ in range(8):
             metrics.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
-        samples.append((bismut_curvature(eqs, metrics), seeds))
-    monkeypatch.setattr(positivity, "ROW_CHUNK", row_chunk)
-    batches = [classify(omegas, starts, seeds) for omegas, seeds in samples]
-    monkeypatch.setattr(positivity, "ROW_CHUNK", 10 ** 6)
-    for batch, (omegas, seeds) in zip(batches, samples):
-        for got, omega, seed in zip(batch, omegas, seeds):
-            _same_classification(got, classify(omega, starts, seed))
+        omegas = bismut_curvature(eqs, metrics)
+        assert sign_verdicts(omegas, starts, seeds) == [
+            classify(omega, starts, seed).verdict for omega, seed in zip(omegas, seeds)]
 
 
 def test_classify_checks_every_tensor_of_a_batch(unit_metric):
     fine = bismut_curvature(instantiate("Np", rho=1), unit_metric)
     bad = bismut_curvature(instantiate("Sv"), unit_metric)
     with pytest.raises(positivity.CplxViolationError):
-        classify(CurvatureTensor(3, "bismut", np.stack([fine.data, bad.data])),
-                 starts=4, seed=[0, 1])
+        sign_verdicts(CurvatureTensor(3, "bismut", np.stack([fine.data, bad.data])),
+                      starts=4, seed=[0, 1])
 
 
 @functools.cache

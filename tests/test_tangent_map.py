@@ -126,12 +126,12 @@ def straddling_rows(draw):
         angle, modulus = math.atan2(x[im], x[re]), math.sqrt(x[i] * x[j] * (1 + eps))
         x[re], x[im] = modulus * math.cos(angle), modulus * math.sin(angle)
     elif which == 6:
-        # det_indicator is linear in t2: put its zero there, then nudge
+        # the determinant indicator is linear in t2: put its zero there, then nudge
         x[:2] = abs(x[:2]) + 0.1
         x[3:] *= 0.2
         m = MetricCoefficients.from_array(np.concatenate([x[:2], [0.0], x[3:]]))
         slope = m.r2 * m.s2 - abs(m.u) ** 2
-        x[2] = -m.det_indicator() / slope * (1 + eps)
+        x[2] = -invariant._cone_test(*m.as_array())[1][3] / slope * (1 + eps)
     elif which == 7:
         x[draw(st.integers(0, 8))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     return x

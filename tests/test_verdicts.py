@@ -18,7 +18,7 @@ FLOWPRES_CASES = ("Np/iwasawa", "Ni/h2/diagonal", "Ni/h8", "Nii/main", "Si/flat"
 
 def assert_same_verdicts(omega, starts, seeds):
     assert sign_verdicts(omega, starts, seeds) == [
-        r.verdict for r in classify(omega, starts, seeds)]
+        classify(t, starts, seed).verdict for t, seed in zip(omega, seeds)]
 
 
 def assert_same_or_certified(blocks, starts, seeds):
@@ -28,7 +28,8 @@ def assert_same_or_certified(blocks, starts, seeds):
     got = sign_verdicts(blocks, starts, seeds)
     _, _, bounds = positivity._spectral_starts(blocks)
     n, moved = blocks.shape[-1], []
-    for w, (verdict, result) in enumerate(zip(got, classify(blocks, starts, seeds))):
+    results = [classify(block, starts, seed) for block, seed in zip(blocks, seeds)]
+    for w, (verdict, result) in enumerate(zip(got, results)):
         if verdict is result.verdict:
             continue
         moved.append(w)
@@ -60,9 +61,9 @@ def alternated_rows(monkeypatch):
     """Row counts of the calls ``positivity._alternate`` receives."""
     rows, inner = [], positivity._alternate
 
-    def count(blocks, owner, *args, **kwargs):
-        rows.append(len(owner))
-        return inner(blocks, owner, *args, **kwargs)
+    def count(block, xi, *args):
+        rows.append(len(xi))
+        return inner(block, xi, *args)
 
     monkeypatch.setattr(positivity, "_alternate", count)
     return rows
