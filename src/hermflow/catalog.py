@@ -13,6 +13,7 @@ diffs against the checked-in fixture.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -21,10 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .flows import NAMED_FLOWS, FlowCoefficients
-from .invariant import (ComplexStructureEquations, ConnectionKind,
-                        MetricCoefficients, check_cplx, connection, curvature,
-                        frame_metric, frame_metrics, integrate_invariant_flows,
-                        sample_admissible_metric, sample_admissible_metrics)
+from .invariant import (ComplexStructureEquations, ConnectionKind, MetricCoefficients,
+                        check_cplx, connection, curvature, frame_metrics,
+                        integrate_invariant_flows, sample_admissible_metrics)
 from .positivity import DEFAULT_STARTS, sign_verdicts
 from .tensors import CurvatureTensor
 
@@ -215,14 +215,19 @@ FAMILIES: dict[str, FamilySpec] = {
 def instantiate(family_id: str, **params) -> ComplexStructureEquations:
     """Structure equations of a family at a parameter point.
 
-    Raises for inadmissible parameters; the returned equations have passed
-    the closedness and Jacobi checks (via dualization).
+    Raises for missing, unknown or inadmissible parameters; the returned
+    equations have passed the closedness and Jacobi checks (via dualization).
     """
     try:
         spec = FAMILIES[family_id]
     except KeyError:
         raise CatalogError(f"unknown family {family_id!r}; known: "
                            f"{sorted(FAMILIES)}") from None
+    names = list(inspect.signature(spec.builder).parameters)
+    missing, unknown = [p for p in names if p not in params], sorted(set(params) - set(names))
+    if missing or unknown:
+        raise CatalogError(f"family {family_id} takes parameters {names} ({spec.parameters}): "
+                           f"missing {missing}, unknown {unknown}")
     eqs = spec.builder(**params)
     eqs.bracket  # dualize validates integrability; raises IntegrabilityError
     return eqs
@@ -352,21 +357,17 @@ CASE_INDEX = {case.key: case for case in CASES}
 # sampling helpers
 # ---------------------------------------------------------------------------
 
-def _sample_slice(rng: np.random.Generator, slice_spec: dict | None
-                  ) -> MetricCoefficients:
+def _sample_slice(rng: np.random.Generator, slice_spec: dict | None) -> np.ndarray:
     spec = dict(slice_spec or {})
     tie = spec.pop("tie_s2_t2", False)
-    m = sample_admissible_metric(rng, fixed=spec)
+    x = sample_admissible_metrics(rng, 1, spec)[0]
     if tie:
-        forced = dict(spec)
-        forced["s2"] = forced["t2"] = m.s2
-        m = sample_admissible_metric(rng, fixed=forced)
-    return m
+        x = sample_admissible_metrics(rng, 1, {**spec, "s2": x[1], "t2": x[1]})[0]
+    return x
 
 
-def _sample_off_slice(rng: np.random.Generator, slice_spec: dict
-                      ) -> MetricCoefficients:
-    """A metric violating every zero-constraint of the slice by at least
+def _sample_off_slice(rng: np.random.Generator, slice_spec: dict) -> np.ndarray:
+    """A metric row violating every zero-constraint of the slice by at least
     ``OFF_SLICE_FLOOR`` in modulus (other coefficients random)."""
     fixed = {}
     for name, value in slice_spec.items():
@@ -375,17 +376,14 @@ def _sample_off_slice(rng: np.random.Generator, slice_spec: dict
             fixed[name] = radius * np.exp(2j * np.pi * rng.uniform())
     if not fixed:
         raise CatalogError("slice has no zero-constraints to violate")
-    return sample_admissible_metric(rng, fixed=fixed)
+    return sample_admissible_metrics(rng, 1, fixed)[0]
 
 
-def bismut_curvature(eqs: ComplexStructureEquations,
-                     m: MetricCoefficients | list[MetricCoefficients]) -> CurvatureTensor:
-    """Convenience: Bismut curvature of an invariant structure.  A list of
-    metrics gives the stack of their curvatures."""
+def bismut_curvature(eqs: ComplexStructureEquations, x: np.ndarray) -> CurvatureTensor:
+    """The stack of the Bismut curvatures of an invariant structure at the
+    rows of the (R, 9) stack ``x`` of ``as_array`` coordinates."""
     bracket = eqs.bracket
-    g = frame_metric(m) if isinstance(m, MetricCoefficients) else \
-        frame_metrics(np.array([x.as_array() for x in m]))
-    return curvature(connection(ConnectionKind.BISMUT, bracket, g), bracket)
+    return curvature(connection(ConnectionKind.BISMUT, bracket, frame_metrics(x)), bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +398,6 @@ class WitnessResult:
     ok: bool
 
 
-def _close(a: complex, b: complex) -> bool:
-    return abs(a - b) <= WITNESS_RTOL * (2.0 + abs(b))
-
-
 def _witnesses(case: ClassificationCase, m: MetricCoefficients,
                omega: CurvatureTensor) -> list[WitnessResult]:
     """Closed-form components of the case at ``m``: on the sign slice of a
@@ -414,8 +408,9 @@ def _witnesses(case: ClassificationCase, m: MetricCoefficients,
     e = omega.entry
 
     def add(name, value, reference):
-        out.append(WitnessResult(name, complex(value), complex(reference),
-                                 _close(complex(value), complex(reference))))
+        value, reference = complex(value), complex(reference)
+        out.append(WitnessResult(name, value, reference,
+                                 abs(value - reference) <= WITNESS_RTOL * (2.0 + abs(reference))))
 
     if case.key == "Np/iwasawa":
         add("Om(1,-1,3,-3)", e(1, -1, 3, -3),
@@ -551,17 +546,20 @@ def classify_case(case: ClassificationCase,
     """
     eqs = instantiate(case.family, **case.params)
     detail: dict = {}
-
-    def scan(metrics: list[MetricCoefficients]):
-        """(metrics, curvature stack, pure-type reports) per stack."""
-        for at in range(0, len(metrics), SCAN_CHUNK):
-            omegas = bismut_curvature(eqs, metrics[at:at + SCAN_CHUNK])
-            yield metrics[at:at + SCAN_CHUNK], omegas, check_cplx(omegas)
-
-    def passes(metrics: list[MetricCoefficients]) -> list[bool]:
-        return [r.satisfied for _, _, reports in scan(metrics) for r in reports]
-
     witnesses: list[WitnessResult] = []
+
+    def scan(x: np.ndarray):
+        """(rows, curvature stack, pure-type reports) per stack of rows."""
+        for at in range(0, len(x), SCAN_CHUNK):
+            omegas = bismut_curvature(eqs, x[at:at + SCAN_CHUNK])
+            yield x[at:at + SCAN_CHUNK], omegas, check_cplx(omegas)
+
+    def passes(x: np.ndarray) -> list[bool]:
+        return [r.satisfied for _, _, reports in scan(x) for r in reports]
+
+    def witnessed(x: np.ndarray, omegas: CurvatureTensor) -> None:
+        for row, omega in zip(x, omegas):
+            witnesses.extend(_witnesses(case, MetricCoefficients.from_array(row), omega))
 
     # (a) random full metrics
     random_pass = sum(passes(sample_admissible_metrics(rng, samples)))
@@ -569,12 +567,15 @@ def classify_case(case: ClassificationCase,
     detail["random_total"] = samples
 
     n_aux = max(10, samples // 10)
+
+    def drawn(sample, spec) -> np.ndarray:
+        return np.array([sample(rng, spec) for _ in range(n_aux)])
+
     if case.cplx == "always":
         observed = "always" if random_pass == samples else "violated"
     elif case.cplx == "slice":
-        slice_pass = sum(passes([_sample_slice(rng, case.cplx_slice) for _ in range(n_aux)]))
-        off_fail = n_aux - sum(passes([_sample_off_slice(rng, case.cplx_slice)
-                                       for _ in range(n_aux)]))
+        slice_pass = sum(passes(drawn(_sample_slice, case.cplx_slice)))
+        off_fail = n_aux - sum(passes(drawn(_sample_off_slice, case.cplx_slice)))
         detail["slice_pass"] = slice_pass
         detail["slice_total"] = n_aux
         detail["off_slice_fail"] = off_fail
@@ -584,25 +585,22 @@ def classify_case(case: ClassificationCase,
             observed = "inconsistent"
     else:  # never
         slice_fail = True
-        metrics = [_sample_slice(rng, slice_spec)
-                   for slice_spec in case.never_slices for _ in range(n_aux)]
-        for chunk, omegas, reports in scan(metrics):
-            for m, omega, report in zip(chunk, omegas, reports):
-                slice_fail &= not report.satisfied
-                witnesses.extend(_witnesses(case, m, omega))
+        x = np.concatenate([drawn(_sample_slice, spec) for spec in case.never_slices])
+        for rows, omegas, reports in scan(x):
+            slice_fail &= not any(r.satisfied for r in reports)
+            witnessed(rows, omegas)
         observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
 
     # (c) sign classification on the slice
     verdict: str | None = None
     if case.expected_verdict is not None:
-        metrics, seeds = [], []
+        rows, seeds = [], []
         for _ in range(SIGN_SAMPLES):
-            metrics.append(_sample_slice(rng, case.sign_slice))
+            rows.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
-        omegas = bismut_curvature(eqs, metrics)
+        omegas = bismut_curvature(eqs, np.array(rows))
         verdicts = {v.value for v in sign_verdicts(omegas, DEFAULT_STARTS, seeds)}
-        for m, omega in zip(metrics, omegas):
-            witnesses.extend(_witnesses(case, m, omega))
+        witnessed(rows, omegas)
         verdict = verdicts.pop() if len(verdicts) == 1 else "mixed:" + ",".join(sorted(verdicts))
 
     # de-duplicate witnesses by name, keeping any failure
@@ -747,7 +745,7 @@ def flow_preservation_check(case_key: str,
         raise CatalogError(f"case {case_key} has no classified slice to track")
     eqs = instantiate(case.family, **case.params)
     rng = np.random.default_rng(seed)
-    m0 = _sample_slice(rng, case.sign_slice)
+    m0 = MetricCoefficients.from_array(_sample_slice(rng, case.sign_slice))
 
     flows = list(NAMED_FLOWS.values())
     for k in range(extra_flows):
@@ -764,7 +762,7 @@ def flow_preservation_check(case_key: str,
     metrics = [m for result in results for m in result.metrics]
     owners = [label for label, result in zip(labels, results) for _ in result.metrics]
     slice_drift = max([0.0] + [abs(getattr(m, name)) for m in metrics for name in zero_names])
-    omegas = bismut_curvature(eqs, metrics)
+    omegas = bismut_curvature(eqs, np.array([m.as_array() for m in metrics]))
     if case.expected_verdict == "flat":
         flat_drift, classes = omegas.magnitude, ["flat"] * len(metrics)
     else:

@@ -275,12 +275,12 @@ def _family_curvature(args):
     # huge admissible coefficients overflow to a non-finite curvature, which
     # CurvatureTensor refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        return catalog.bismut_curvature(eqs, m), m
+        return catalog.bismut_curvature(eqs, m.as_array()[None])[0]
 
 
 def cmd_cplx(args) -> int:
-    omega, m = _family_curvature(args)
-    report = check_cplx(omega)
+    omega = _family_curvature(args)
+    report = check_cplx(omega)[0]
     _emit({
         "family": args.family,
         "satisfied": report.satisfied,
@@ -293,14 +293,18 @@ def cmd_cplx(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.family is not None:
-        omega, _ = _family_curvature(args)
+        omega = _family_curvature(args)
     else:
         if args.hopf is None:
             raise CliError("give --family or --hopf n,alpha,beta")
         parts = args.hopf.split(",")
         if len(parts) != 3:
             raise CliError("--hopf takes n,alpha,beta")
-        h = hopf.HopfMetric(int(parts[0]), float(parts[1]), float(parts[2]))
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise CliError(f"--hopf takes an integer n, got {parts[0]!r}") from None
+        h = hopf.HopfMetric(n, float(parts[1]), float(parts[2]))
         z = parse_vector(args.point, h.n) if args.point else \
             np.full(h.n, 1.0 / np.sqrt(h.n), dtype=complex)
         omega = hopf.bismut_curvature_at(h, z)

@@ -375,11 +375,11 @@ _COLUMNS = {"r2": 0, "s2": 1, "t2": 2, "u": slice(3, 5), "v": slice(5, 7), "z": 
 
 
 def sample_admissible_metrics(rng: np.random.Generator, count: int,
-                              fixed: dict | None = None) -> list[MetricCoefficients]:
-    """``count`` random admissible coefficient sets: r2, s2, t2 uniform in
-    [0.5, 2] and u, v, z in the complex disk of radius 0.4 (rejection
-    sampling), keeping the determinant indicator away from zero.  ``fixed``
-    pins individual coefficients, e.g. ``{"v": 0, "z": 0}`` or ``{"r2": 1}``.
+                              fixed: dict | None = None) -> np.ndarray:
+    """``as_array`` rows of ``count`` random admissible metrics, as a (count,
+    9) stack: r2, s2, t2 uniform in [0.5, 2] and u, v, z in the complex disk
+    of radius 0.4 (rejection sampling), keeping the determinant indicator
+    away from zero.  ``fixed`` pins coefficients, e.g. ``{"v": 0, "z": 0}``.
 
     Attempts are drawn in order, nine uniforms each, as many at a time as
     metrics are missing: each metric takes at least one attempt, so the
@@ -396,7 +396,7 @@ def sample_admissible_metrics(rng: np.random.Generator, count: int,
             pinned.append((_COLUMNS[name], [value.real, value.imag]))
         else:
             pinned.append((_COLUMNS[name], float(value)))
-    out: list[MetricCoefficients] = []
+    out: list[np.ndarray] = []
     failed = 0
     while len(out) < count:
         tries = min(count - len(out), SAMPLE_MAX_TRIES - failed)
@@ -408,21 +408,20 @@ def sample_admissible_metrics(rng: np.random.Generator, count: int,
         x[:, 3:].view(complex)[:] = 0.4 * np.sqrt(draws[:, 3::2]) * np.exp(1j * draws[:, 4::2])
         for columns, value in pinned:
             x[:, columns] = value
-        for row, admissible in zip(x, _admissible_rows(x).tolist()):
-            if admissible:
-                out.append(MetricCoefficients.from_array(row))
-                failed = 0
-            else:
-                failed += 1
+        ok = _admissible_rows(x)
+        out.extend(x[ok])
+        # the attempts that failed in a row since the last admissible one
+        hits = np.flatnonzero(ok)
+        failed = tries - 1 - int(hits[-1]) if hits.size else failed + tries
         if failed >= SAMPLE_MAX_TRIES:
             raise MetricError("could not sample an admissible metric under the given constraints")
-    return out
+    return np.array(out).reshape(count, 9)
 
 
 def sample_admissible_metric(rng: np.random.Generator,
                              fixed: dict | None = None) -> MetricCoefficients:
     """One metric of ``sample_admissible_metrics``."""
-    return sample_admissible_metrics(rng, 1, fixed)[0]
+    return MetricCoefficients.from_array(sample_admissible_metrics(rng, 1, fixed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +551,7 @@ def _pure_type_offsets(n: int) -> np.ndarray:
     return offsets
 
 
-def check_cplx(omega: CurvatureTensor) -> CplxReport | list[CplxReport]:
+def check_cplx(omega: CurvatureTensor) -> list[CplxReport]:
     """Check that every component with a pure-type index pair vanishes.
 
     A pair is pure when both slots are holomorphic or both antiholomorphic;
@@ -560,8 +559,8 @@ def check_cplx(omega: CurvatureTensor) -> CplxReport | list[CplxReport]:
     witness holds the signed labels, as ``entry`` takes them, of the first
     component in the order of ``_pure_type_offsets`` within 1e-12 relative
     of the largest violation, so that rounding does not choose between equal
-    partners such as ``(2, 3, 1, -2)`` and ``(2, 3, -2, 1)``.  A stack of
-    tensors gives the list of their reports.
+    partners such as ``(2, 3, 1, -2)`` and ``(2, 3, -2, 1)``.  Returns the
+    list of the reports of a stack's tensors; one tensor is a stack of one.
     """
     n = omega.n
     moduli = np.abs(omega.data).reshape(-1, (2 * n) ** 4)
@@ -578,7 +577,7 @@ def check_cplx(omega: CurvatureTensor) -> CplxReport | list[CplxReport]:
             frame_label(int(x), n) for x in np.unravel_index(at, (2 * n,) * 4))
         reports.append(CplxReport(satisfied=satisfied, max_violation=violation,
                                   witness=witness, tolerance=tol))
-    return reports if omega.data.ndim == 5 else reports[0]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +593,19 @@ def q_terms(Ginv: np.ndarray, t_low: np.ndarray) -> np.ndarray:
     m)] = A[k, l] B[n, m]``; ``Q3`` is the outer product of ``tau = t[:, k,
     l] P[k, l]`` and ``sig = conj(t)[:, k, l] Ginv[k, l]``, ``Q4`` averages
     ``(Ginv tau)[m] conj(t)[m, j, i]`` and ``(sig Ginv)[m] t[m, i, j]``."""
-    n, lead, g_lead = Ginv.shape[-1], t_low.shape[:-3], Ginv.shape[:-2]
+    n, lead = Ginv.shape[-1], Ginv.shape[:-2]
     nn = n * n
     P = Ginv.swapaxes(-1, -2)
     tc = np.conj(t_low)
     rows, rows_c = t_low.reshape(lead + (n, nn)), tc.reshape(lead + (n, nn))
-    PG = (P[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(g_lead + (nn, nn))
-    GG = (Ginv[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(g_lead + (nn, nn))
+    PG = (P[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(lead + (nn, nn))
+    GG = (Ginv[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(lead + (nn, nn))
     q = np.empty((4,) + lead + (n, n), dtype=complex)
     np.matmul(rows @ PG, rows_c.swapaxes(-1, -2), out=q[0])
     np.matmul(tc.reshape(lead + (nn, n)).swapaxes(-1, -2) @ GG,
               t_low.reshape(lead + (nn, n)), out=q[1])
-    tau = rows @ P.reshape(g_lead + (nn, 1))
-    sig = (rows_c @ Ginv.reshape(g_lead + (nn, 1))).swapaxes(-1, -2)
+    tau = rows @ P.reshape(lead + (nn, 1))
+    sig = (rows_c @ Ginv.reshape(lead + (nn, 1))).swapaxes(-1, -2)
     np.matmul(tau, sig, out=q[2])
     # Q4 from the halved inverse: a power of two scales every product exactly
     half = 0.5 * Ginv
@@ -747,11 +746,11 @@ def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarra
     from time 0 through the times ``records``; returns each row's states
     at the record times it reached.  The rows step in lockstep and share one
     stacked ``hcf_tangent`` call per stage; step, time, FSAL stages, step
-    decisions and ``stats[r]`` are the row's own.  Each record interval opens
-    with a first-stage evaluation.  A failing stage rejects its row's step,
-    skips its remaining stages and shrinks the step five-fold.  A row whose
-    proposed step falls below ``FLOW_MIN_STEP`` is degenerate at
-    ``stats[r].t``."""
+    decisions and ``stats[r]`` are the row's own.  Only time 0 evaluates a
+    first stage: an accepted step's seventh stage opens the next, across
+    record times too.  A failing stage rejects its row's step, skips its
+    remaining stages and shrinks the step five-fold.  A row whose proposed
+    step falls below ``FLOW_MIN_STEP`` is degenerate at ``stats[r].t``."""
     x = np.array(x0, dtype=float)
     k = np.empty((len(x), 7, x.shape[1]))
     out: list[list[np.ndarray]] = [[] for _ in x]
@@ -763,15 +762,10 @@ def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarra
         evals[rows] += 1
         return _coefficient_rates(K), ok
 
-    opening, active = list(range(len(x))), []
-    while opening or active:
-        if opening:
-            rows = np.array(opening)
-            k[rows, 0], ok = rates(rows, x[rows])
-            # a first stage fails only at an unusable start: degenerate there
-            active, opening = sorted(active + rows[ok].tolist()), []
-            if not active:
-                break
+    k[:, 0], ok = rates(np.arange(len(x)), x)
+    # a first stage fails only at an unusable start: degenerate there
+    active = np.flatnonzero(ok).tolist()
+    while active:
         rows = np.array(active)
         t_stop = [records[len(out[r])] for r in active]
         landing = [stats[r].t + stats[r].step >= ts for r, ts in zip(active, t_stop)]
@@ -810,14 +804,10 @@ def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarra
                 else:
                     st.rejected += 1
                     st.step = h_p * grow
-            if st.step < FLOW_MIN_STEP:
-                continue
-            if st.t < t_stop[p]:
+            if st.t >= t_stop[p]:  # landed, so the step did not shrink
+                out[r].append(x[r].copy())
+            if st.step >= FLOW_MIN_STEP and len(out[r]) < len(records):
                 still.append(r)
-                continue
-            out[r].append(x[r].copy())
-            if len(out[r]) < len(records):
-                opening.append(r)
         active = still
     for st, e in zip(stats, evals.tolist()):
         st.tangent_evals += e

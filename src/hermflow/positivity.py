@@ -125,8 +125,7 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     and the bounds ``(max(lambda_min(M), lambda_min(M^G)), min(lambda_max(M),
     lambda_max(M^G)))`` that ``q`` keeps at every pair of unit vectors, as
     ``w`` is then a unit vector (the partial transpose bound of Peres, PRL
-    77, 1996).  ``blocks`` is one (n, n, n, n) block, giving (4, n) stacks
-    and (2,) bounds, or a (T, n, n, n, n) stack of them, giving (T, 4, n)
+    77, 1996).  ``blocks`` is a (T, n, n, n, n) stack, giving (T, 4, n)
     stacks and (T, 2) bounds.
 
     ``M[(i,k),(j,l)] = block[i,j,k,l]`` has ``q = w^H M w`` at ``w =
@@ -136,8 +135,7 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     vector through its leading singular pair: ``conj(W) ~ xi nu^T`` for
     ``M`` and ``W ~ conj(xi) nu^T`` for ``M^G``.
     """
-    n, lead = blocks.shape[-1], blocks.shape[:-4]
-    blocks = blocks.reshape((-1,) + (n,) * 4)
+    n = blocks.shape[-1]
     mats = np.stack([blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n),
                      blocks.transpose(0, 1, 4, 2, 3).reshape(-1, n * n, n * n)], axis=1)
     vals, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
@@ -148,8 +146,7 @@ def _spectral_starts(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     u, _, vh = np.linalg.svd(W)
     xi = u[..., 0]
     xi[:, 1::2] = xi[:, 1::2].conj()
-    return (xi.reshape(lead + (4, n)), vh[..., 0, :].reshape(lead + (4, n)),
-            bounds.reshape(lead + (2,)))
+    return xi, vh[..., 0, :], bounds
 
 
 def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray, minimize: np.ndarray
@@ -195,18 +192,17 @@ def _alternate(block: np.ndarray, xi: np.ndarray, nu: np.ndarray, minimize: np.n
     return value, xi, nu, stationary
 
 
-def _block_stack(omega: CurvatureTensor | np.ndarray, starts: int,
-                 seed: int | Sequence[int]
-                 ) -> tuple[np.ndarray, list, bool, np.ndarray, np.ndarray]:
-    """``omega``'s mixed blocks as a (T, n, n, n, n) stack, with its T seeds,
-    whether ``omega`` was a single tensor, the blocks' magnitudes and the
-    indices of the blocks that are not FLAT; refuses a full-frame tensor
-    whose pure-type components do not vanish, and malformed arguments."""
+def _block_stack(omega: CurvatureTensor | np.ndarray, starts: int, seeds: Sequence[int]
+                 ) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """``omega``'s mixed blocks as a (T, n, n, n, n) stack, one tensor or
+    (n, n, n, n) block being a stack of one, with its T seeds, the blocks'
+    magnitudes and the indices of the blocks that are not FLAT; refuses a
+    full-frame tensor whose pure-type components do not vanish, and
+    malformed arguments."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if isinstance(omega, CurvatureTensor):
-        reports = check_cplx(omega)
-        for report in reports if isinstance(reports, list) else [reports]:
+        for report in check_cplx(omega):
             if not report.satisfied:
                 raise CplxViolationError(report)
         blocks = omega.mixed_block()
@@ -214,15 +210,13 @@ def _block_stack(omega: CurvatureTensor | np.ndarray, starts: int,
         blocks = omega.astype(complex, copy=False)
     else:
         raise TypeError(f"classify takes a CurvatureTensor or an array, not {type(omega)}")
-    single = blocks.ndim == 4
-    if single:
-        blocks, seed = blocks[None], [seed]
+    blocks = blocks[None] if blocks.ndim == 4 else blocks
     if blocks.ndim != 5 or len(set(blocks.shape[1:])) != 1:
         raise ValueError("mixed block must be an (n, n, n, n) array or a stack of them")
-    if len(seed) != len(blocks):
-        raise ValueError(f"{len(blocks)} tensors need as many seeds, got {len(seed)}")
+    if len(seeds) != len(blocks):
+        raise ValueError(f"{len(blocks)} tensors need as many seeds, got {len(seeds)}")
     magnitudes = np.abs(blocks).max(axis=(1, 2, 3, 4))
-    return blocks, list(seed), single, magnitudes, np.flatnonzero(~(magnitudes <= VERDICT_RTOL))
+    return blocks, list(seeds), magnitudes, np.flatnonzero(~(magnitudes <= VERDICT_RTOL))
 
 
 def _start_rows(blocks: np.ndarray, seeds: list, starts: int
@@ -271,7 +265,7 @@ def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
     data = omega.data if isinstance(omega, CurvatureTensor) else omega
     if isinstance(data, np.ndarray) and data.ndim == 5:
         raise ValueError("classify takes one tensor; sign_verdicts takes a stack")
-    blocks, seeds, _, magnitudes, live = _block_stack(omega, starts, seed)
+    blocks, seeds, magnitudes, live = _block_stack(omega, starts, [seed])
     block, magnitude = blocks[0], float(magnitudes[0])
     tol = VERDICT_RTOL * magnitude
     if not live.size:
@@ -297,14 +291,15 @@ def classify(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
                               best_max, min_wit, max_wit, tol, magnitude, stationary)
 
 
-def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STARTS,
-                  seed: int | Sequence[int] = 0):
-    """The verdict of ``classify(omega, starts, seed)``, without refining
-    the extremes of a tensor whose start values already fix it; a stacked
-    tensor, or a (T, n, n, n, n) stack of blocks, with a sequence of T seeds
-    gives the list of the verdicts of its tensors, each with its own seed.
+def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int,
+                  seeds: Sequence[int]) -> list[Verdict]:
+    """The verdicts of ``classify(tensor, starts, seed)`` of the tensors of
+    the stack ``omega`` with their ``seeds``, one per tensor, without
+    refining the extremes of a tensor whose start values already fix it.
+    ``omega`` is a stacked tensor or a (T, n, n, n, n) stack of blocks; one
+    tensor or block is a stack of one.
 
-    Takes, and refuses, what ``classify`` does, and builds the same start
+    Refuses what ``classify`` refuses of a tensor, and builds the same start
     rows.  Each half step of the alternation is an exact eigen-optimum, and
     ``_alternate`` lets a row move against its direction by at most its
     monotonicity slack ``1e-12 (1 + |value| + max|block|)`` per step, over
@@ -323,12 +318,12 @@ def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STA
       says too, or INDETERMINATE where a row does not settle;
     * the mirror case: NON_POSITIVE.
     """
-    blocks, seed, single, magnitudes, live = _block_stack(omega, starts, seed)
+    blocks, seeds, magnitudes, live = _block_stack(omega, starts, seeds)
     n = blocks.shape[-1]
     verdicts = [Verdict.FLAT] * len(blocks)
     if live.size:
         stack, size = blocks[live], magnitudes[live]
-        xi, nu, minimize, bounds = _start_rows(stack, [seed[q] for q in live], starts)
+        xi, nu, minimize, bounds = _start_rows(stack, [seeds[q] for q in live], starts)
         rows = (len(live), len(minimize), n)
         values = np.stack([_values(*row) for row in zip(stack, xi.reshape(rows),
                                                         nu.reshape(rows))])
@@ -343,8 +338,8 @@ def sign_verdicts(omega: CurvatureTensor | np.ndarray, starts: int = DEFAULT_STA
             verdicts[q] = _verdict(float(best_min[w]), float(best_max[w]), float(tol[w]),
                                    stationary=bool(certified[w]))
             if verdicts[q] is Verdict.INDETERMINATE:
-                verdicts[q] = classify(blocks[q], starts, seed[q]).verdict
-    return verdicts[0] if single else verdicts
+                verdicts[q] = classify(blocks[q], starts, seeds[q]).verdict
+    return verdicts
 
 
 def gamma_threshold(n: int) -> float:

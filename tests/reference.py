@@ -310,7 +310,7 @@ def case_flows(case_key: str, extra_flows: int, seed: int):
     case = CASE_INDEX[case_key]
     eqs = instantiate(case.family, **case.params)
     rng = np.random.default_rng(seed)
-    m0 = _sample_slice(rng, case.sign_slice)
+    m0 = MetricCoefficients.from_array(_sample_slice(rng, case.sign_slice))
     flows = list(NAMED_FLOWS.values())
     for k in range(extra_flows):
         a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
@@ -344,7 +344,7 @@ def flow_preservation_check(case_key: str, extra_flows: int = 5,
         for m in result.metrics:
             for name in zero_names:
                 slice_drift = max(slice_drift, abs(getattr(m, name)))
-            omega = bismut_curvature(eqs, m)
+            omega = bismut_curvature(eqs, m.as_array()[None])[0]
             if flat_drift is not None:
                 flat_drift = max(flat_drift, omega.magnitude)
                 track.append("flat")
@@ -417,11 +417,12 @@ def classify_case(case, samples: int, rng: np.random.Generator,
     elif case.cplx == "slice":
         slice_pass = 0
         for _ in range(n_aux):
-            ok, _ = cplx_ok(_sample_slice(rng, case.cplx_slice))
+            ok, _ = cplx_ok(MetricCoefficients.from_array(_sample_slice(rng, case.cplx_slice)))
             slice_pass += int(ok)
         off_fail = 0
         for _ in range(n_aux):
-            ok, _ = cplx_ok(_sample_off_slice(rng, case.cplx_slice))
+            ok, _ = cplx_ok(MetricCoefficients.from_array(
+                _sample_off_slice(rng, case.cplx_slice)))
             off_fail += int(not ok)
         detail["slice_pass"] = slice_pass
         detail["slice_total"] = n_aux
@@ -434,7 +435,7 @@ def classify_case(case, samples: int, rng: np.random.Generator,
         slice_fail = True
         for slice_spec in case.never_slices:
             for _ in range(n_aux):
-                m = _sample_slice(rng, slice_spec)
+                m = MetricCoefficients.from_array(_sample_slice(rng, slice_spec))
                 ok, omega = cplx_ok(m)
                 if ok:
                     slice_fail = False
@@ -444,7 +445,7 @@ def classify_case(case, samples: int, rng: np.random.Generator,
     if case.expected_verdict is not None:
         verdicts = set()
         for _ in range(sign_samples):
-            m = _sample_slice(rng, case.sign_slice)
+            m = MetricCoefficients.from_array(_sample_slice(rng, case.sign_slice))
             omega = bismut_curvature_alone(eqs, m, bracket)
             result = classify(omega, starts=starts, seed=int(rng.integers(0, 2 ** 31)))
             verdicts.add(result.verdict.value)

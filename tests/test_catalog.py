@@ -70,7 +70,7 @@ def test_ni_cplx_holds_beyond_the_bullet_points(rng):
         eqs = instantiate("Ni", rho=0, lam=lam, D=D)
         for _ in range(5):
             m = sample_admissible_metric(rng)
-            assert check_cplx(bismut_curvature(eqs, m)).satisfied
+            assert check_cplx(bismut_curvature(eqs, m.as_array()[None]))[0].satisfied
 
 
 def test_classify_case_single_row(rng):

@@ -251,6 +251,20 @@ def test_invalid_metric_exits_2(capsys):
     assert code == 2 and "real" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["cplx", "--family=Ni"], "family Ni"),
+    (["cplx", "--family=Np", "--params=rho=1,foo=2"], "family Np"),
+    (["classify", "--family=Siii2", "--params=x=1"], "family Siii2"),
+    (["classify", "--hopf=3.5,1,1"], "--hopf"),
+], ids=["missing-params", "unknown-param", "params-of-none", "hopf-n-not-integer"])
+def test_bad_family_parameters_exit_2(capsys, argv, named):
+    # these used to name a private builder, or print int()'s message
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "_builder" not in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,metric,err", [
     # |u|^2 overflows a double: the cone test reports it instead of raising

@@ -74,14 +74,14 @@ def test_anchor_nilpotent_diagonal_component(rng):
         eqs = instantiate("Ni", rho=0, lam=0.0, D=D)
         for _ in range(3):
             m = sample_admissible_metric(rng, fixed={"r2": 1.0, "v": 0, "z": 0})
-            omega = bismut_curvature(eqs, m)
+            omega = bismut_curvature(eqs, m.as_array()[None])[0]
             assert omega.entry(1, -1, 1, -1) == pytest.approx(m.t2, abs=1e-10)
 
 
 def test_anchor_iwasawa_component(iwasawa, rng):
     for _ in range(3):
         m = sample_admissible_metric(rng)
-        omega = bismut_curvature(iwasawa, m)
+        omega = bismut_curvature(iwasawa, m.as_array()[None])[0]
         detG = np.linalg.det(m.hermitian_matrix()).real
         expected = m.t2 ** 2 * (m.r2 * m.t2 - abs(m.z) ** 2) / (16 * detG)
         assert omega.entry(1, -1, 3, -3) == pytest.approx(expected, abs=1e-10)
@@ -90,12 +90,12 @@ def test_anchor_iwasawa_component(iwasawa, rng):
 def test_anchor_flat_solvmanifold():
     eqs = instantiate("Si", theta=np.pi / 2)
     m = MetricCoefficients(1.4, 0.7, 1.1)
-    omega = bismut_curvature(eqs, m)
+    omega = bismut_curvature(eqs, m.as_array()[None])[0]
     assert omega.magnitude < 1e-12
 
 
 def test_iwasawa_unit_metric_values(iwasawa, unit_metric):
-    omega = bismut_curvature(iwasawa, unit_metric)
+    omega = bismut_curvature(iwasawa, unit_metric.as_array()[None])[0]
     assert omega.entry(1, -1, 3, -3) == pytest.approx(0.5)
     det = (omega.entry(1, -1, 3, -3) * omega.entry(2, -2, 3, -3)
            - omega.entry(1, -2, 3, -3) * omega.entry(2, -1, 3, -3))

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from hermflow import catalog, cli, invariant
 from hermflow.catalog import CASES, _sample_slice, instantiate
-from hermflow.invariant import (BracketTable, ConnectionKind, connection, curvature,
-                                frame_metric, sample_admissible_metric)
+from hermflow.invariant import (BracketTable, ConnectionKind, MetricCoefficients,
+                                connection, curvature, frame_metric,
+                                sample_admissible_metric)
+from hermflow.tensors import CurvatureTensor
 from tests import reference
 
 #: agreement with the einsums, relative to the largest component
@@ -107,10 +109,11 @@ def _cli_corpus():
     corpus = []
     for case in CASES:
         corpus.append(_family_argv("cplx", case, sample_admissible_metric(rng)))
-        corpus.append(_family_argv("cplx", case, _sample_slice(rng, case.cplx_slice)))
+        on_slice = MetricCoefficients.from_array(_sample_slice(rng, case.cplx_slice))
+        corpus.append(_family_argv("cplx", case, on_slice))
         if case.expected_verdict is not None:
-            corpus.append(["--seed=3"] + _family_argv("classify", case, _sample_slice(
-                rng, case.sign_slice)) + ["--starts=16"])
+            signed = MetricCoefficients.from_array(_sample_slice(rng, case.sign_slice))
+            corpus.append(["--seed=3"] + _family_argv("classify", case, signed) + ["--starts=16"])
     return corpus
 
 
@@ -136,9 +139,12 @@ def _assert_close_documents(got, want, where):
 def test_cli_cplx_and_classify_agree_with_the_einsum_reference(capsys, monkeypatch):
     corpus = _cli_corpus()
     got = [_run(capsys, argv) for argv in corpus]
-    monkeypatch.setattr(catalog, "bismut_curvature", lambda eqs, m:
-                        reference.bismut_curvature_alone(eqs, m, eqs.bracket))
-    monkeypatch.setattr(cli, "check_cplx", reference.check_cplx_alone)
+    def alone(eqs, x):
+        return CurvatureTensor(3, "bismut", np.stack([reference.bismut_curvature_alone(
+            eqs, MetricCoefficients.from_array(row), eqs.bracket).data for row in x]))
+
+    monkeypatch.setattr(catalog, "bismut_curvature", alone)
+    monkeypatch.setattr(cli, "check_cplx", lambda omega: [reference.check_cplx_alone(omega)])
     want = [_run(capsys, argv) for argv in corpus]
     for argv, (code, doc), (want_code, want_doc) in zip(corpus, got, want):
         assert code == want_code == 0, argv

@@ -15,7 +15,7 @@ from hermflow.invariant import (MetricCoefficients, hcf_tangent,
                                 integrate_invariant_flow,
                                 integrate_invariant_flows, q_terms,
                                 sample_admissible_metric)
-from hermflow.positivity import classify, sign_verdicts
+from hermflow.positivity import DEFAULT_STARTS, classify, sign_verdicts
 from hermflow.tensors import CurvatureTensor
 from tests import reference
 from tests.conftest import random_point
@@ -210,10 +210,10 @@ def test_batched_classify_equals_per_tensor_on_checkpoints(rng):
         eqs, m0, flows, _ = reference.case_flows(key, 1, 7)
         for result in integrate_invariant_flows(eqs, m0, flows, t_end=0.3,
                                                 dt=2e-3, checkpoints=2):
-            tensors += [bismut_curvature(eqs, m) for m in result.metrics]
+            tensors += [bismut_curvature(eqs, m.as_array()[None])[0] for m in result.metrics]
     seeds = [int(s) for s in rng.integers(0, 2 ** 31, len(tensors))]
     batch = sign_verdicts(CurvatureTensor(3, "bismut", np.stack([t.data for t in tensors])),
-                          starts=8, seed=seeds)
+                          8, seeds)
     assert batch == [classify(omega, starts=8, seed=seed).verdict
                      for omega, seed in zip(tensors, seeds)]
 
@@ -227,18 +227,18 @@ def _hopf_block(n, gamma, rng):
 def test_batched_classify_equals_per_tensor_on_hopf(n, rng):
     blocks = np.stack([_hopf_block(n, gamma, rng) for gamma in (-0.7, -0.5, 0.0, 0.6, 1.2)])
     seeds = list(range(len(blocks)))
-    assert sign_verdicts(blocks, starts=16, seed=seeds) == [
+    assert sign_verdicts(blocks, 16, seeds) == [
         classify(block, starts=16, seed=seed).verdict for block, seed in zip(blocks, seeds)]
 
 
 def test_batched_classify_needs_a_seed_per_tensor(rng):
     blocks = np.stack([_hopf_block(2, 0.3, rng)])
     with pytest.raises(ValueError, match="seeds"):
-        sign_verdicts(blocks, seed=[1, 2])
-    assert sign_verdicts(blocks[:0], seed=[]) == []
+        sign_verdicts(blocks, DEFAULT_STARTS, [1, 2])
+    assert sign_verdicts(blocks[:0], DEFAULT_STARTS, []) == []
     # a batch is a stack, not a list
     with pytest.raises(TypeError):
-        sign_verdicts(list(blocks), seed=[1])
+        sign_verdicts(list(blocks), DEFAULT_STARTS, [1])
 
 
 # --- the tracer's view of the flow-preservation check ----------------------

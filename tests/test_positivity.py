@@ -31,7 +31,7 @@ def test_flat_verdict_on_surface(rng):
 def test_indefinite_verdict_with_certified_witnesses():
     eqs = instantiate("Ni", rho=0, lam=0.0, D=-1.0)
     m = MetricCoefficients(1.0, 1.3, 0.9)
-    omega = bismut_curvature(eqs, m)
+    omega = bismut_curvature(eqs, m.as_array()[None])[0]
     res = classify(omega, seed=1)
     assert res.verdict is Verdict.INDEFINITE
     assert res.min_value < -res.tolerance < res.tolerance < res.max_value
@@ -60,7 +60,7 @@ def test_nonnegative_hopf_with_min_on_radial_direction(rng):
 
 
 def test_refuses_without_pure_type_vanishing(unit_metric):
-    omega = bismut_curvature(instantiate("Sv"), unit_metric)
+    omega = bismut_curvature(instantiate("Sv"), unit_metric.as_array()[None])[0]
     with pytest.raises(CplxViolationError):
         classify(omega)
 
@@ -87,7 +87,7 @@ def test_partial_matrices_are_hermitian_forms(rng):
 
 def test_alternating_iteration_monotone_and_certified(rng):
     eqs = instantiate("Np", rho=1)
-    omega = bismut_curvature(eqs, MetricCoefficients(1.2, 0.9, 1.1, u=0.1))
+    omega = bismut_curvature(eqs, MetricCoefficients(1.2, 0.9, 1.1, u=0.1).as_array()[None])[0]
     block = omega.mixed_block()
     pairs = [(random_unit(rng, 3), random_unit(rng, 3)) for _ in range(10)]
     xi0, nu0 = (np.array(v) for v in zip(*pairs))
@@ -103,9 +103,9 @@ def test_alternating_iteration_monotone_and_certified(rng):
 def test_classify_rejects_nonpositive_starts(starts, unit_metric):
     # checked before anything else: before the pure-type refusal of Sv and
     # before the flat shortcut of a zero block
-    omegas = (bismut_curvature(instantiate("Sv"), unit_metric),
+    omegas = (bismut_curvature(instantiate("Sv"), unit_metric.as_array()[None])[0],
               np.zeros((3, 3, 3, 3), dtype=complex),
-              bismut_curvature(instantiate("Np", rho=1), unit_metric))
+              bismut_curvature(instantiate("Np", rho=1), unit_metric.as_array()[None])[0])
     for omega in omegas:
         with pytest.raises(ValueError, match=f"starts must be >= 1, got {starts}"):
             classify(omega, starts=starts)
@@ -125,7 +125,7 @@ def test_threshold_grid(rng):
 
 def test_deterministic_under_seed(rng):
     eqs = instantiate("Siv1")
-    omega = bismut_curvature(eqs, MetricCoefficients(1.1, 0.9, 1.2, u=0.2j))
+    omega = bismut_curvature(eqs, MetricCoefficients(1.1, 0.9, 1.2, u=0.2j).as_array()[None])[0]
     a = classify(omega, seed=7)
     b = classify(omega, seed=7)
     assert a.min_value == b.min_value and a.max_value == b.max_value
@@ -141,7 +141,7 @@ def test_classify_accepts_raw_block():
 
 
 def test_classify_refuses_a_stack(unit_metric):
-    omegas = bismut_curvature(instantiate("Np", rho=1), [unit_metric, unit_metric])
+    omegas = bismut_curvature(instantiate("Np", rho=1), np.array([unit_metric.as_array()] * 2))
     for stack in (omegas, omegas.mixed_block()):
         with pytest.raises(ValueError, match="sign_verdicts"):
             classify(stack, seed=[0, 1])
@@ -235,8 +235,8 @@ def _scalar_classify(block, starts, seed):
         if val > best_max:
             best_max, max_wit = val, (xi, nu)
     # the spectral rows come after every random start, so ties stay there
-    xis, nus, _ = _spectral_starts(block)
-    for xi0, nu0, minimize in zip(xis, nus, (True, True, False, False)):
+    xis, nus, _ = _spectral_starts(block[None])
+    for xi0, nu0, minimize in zip(xis[0], nus[0], (True, True, False, False)):
         val, xi, nu, ok = _scalar_alternate(block, xi0, nu0, minimize=minimize)
         stationary &= ok
         if minimize and val < best_min:
@@ -271,8 +271,8 @@ def _assert_matches_scalar(block, seed):
 @pytest.mark.parametrize("case", [c for c in CASES if c.expected_verdict],
                          ids=lambda c: c.key)
 def test_batched_classify_matches_scalar_loop_on_sign_slices(case, rng):
-    m = _sample_slice(rng, case.sign_slice)
-    omega = bismut_curvature(instantiate(case.family, **case.params), m)
+    x = _sample_slice(rng, case.sign_slice)
+    omega = bismut_curvature(instantiate(case.family, **case.params), x[None])[0]
     _assert_matches_scalar(omega.mixed_block(), seed=11)
 
 
@@ -293,7 +293,7 @@ def test_spectral_starts_reach_a_product_minimum(rng):
     n = 3
     a, b = random_unit(rng, n), random_unit(rng, n)
     block = -np.einsum("i,j,k,l->ijkl", a.conj(), a, b.conj(), b)
-    xis, nus, bounds = _spectral_starts(block)
+    xis, nus, bounds = (a[0] for a in _spectral_starts(block[None]))
     assert xis.shape == nus.shape == (4, n)
     # M and M^G are both minus one rank-one projector
     assert bounds == pytest.approx([-1.0, 0.0], abs=1e-12)
@@ -331,7 +331,8 @@ def test_classify_equals_the_per_start_draw_on_table3_sign_samples(monkeypatch):
     rng = np.random.default_rng(5)
     for case in (c for c in CASES if c.expected_verdict):
         eqs = instantiate(case.family, **case.params)
-        omegas = bismut_curvature(eqs, [_sample_slice(rng, case.sign_slice) for _ in range(4)])
+        omegas = bismut_curvature(eqs, np.array([_sample_slice(rng, case.sign_slice)
+                                                 for _ in range(4)]))
         seeds = [int(rng.integers(0, 2 ** 31)) for _ in omegas]
         _assert_same_with_per_start_draw(monkeypatch, omegas, 64, seeds)
 

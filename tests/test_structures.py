@@ -164,10 +164,11 @@ def test_stacked_sampler_reads_the_one_attempt_stream(seed, fixed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_admissible_metrics(rng, count, fixed)
         want = [reference.sample_admissible_metric(ref, fixed) for _ in range(count)]
-        assert [_bits(m.as_array()) for m in got] == [_bits(m.as_array()) for m in want]
+        assert got.shape == (count, 9)
+        assert [_bits(x) for x in got] == [_bits(m.as_array()) for m in want]
         # and leaves the stream where the one-attempt draws leave it
         assert rng.random() == ref.random()
-        assert _bits(frame_metrics(np.array([m.as_array() for m in got]))) == \
+        assert _bits(frame_metrics(got)) == \
             _bits([reference.frame_metric(m) for m in want])
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     assert _bits(sample_admissible_metric(rng, fixed).as_array()) == \

@@ -18,7 +18,8 @@ from hermflow import catalog, positivity
 from hermflow.catalog import (CASE_INDEX, CASES, SCAN_CHUNK, _sample_slice,
                               bismut_curvature, classify_case, instantiate,
                               regenerate_table3, render_markdown)
-from hermflow.invariant import check_cplx, dualize, sample_admissible_metric
+from hermflow.invariant import (MetricCoefficients, check_cplx, dualize,
+                                sample_admissible_metric)
 from hermflow.positivity import classify, sign_verdicts
 from hermflow.tensors import CurvatureTensor
 from tests import reference
@@ -30,10 +31,10 @@ WITNESS_AGREEMENT = 1e-13
 
 
 def _case_metrics(case, seed):
-    """Random metrics and sign-slice metrics of ``case``."""
+    """The (R, 9) stack of random metrics and sign-slice metrics of ``case``."""
     rng = np.random.default_rng(seed)
-    metrics = [sample_admissible_metric(rng) for _ in range(RANDOM_METRICS)]
-    return metrics + [_sample_slice(rng, case.sign_slice) for _ in range(8)]
+    metrics = [sample_admissible_metric(rng).as_array() for _ in range(RANDOM_METRICS)]
+    return np.array(metrics + [_sample_slice(rng, case.sign_slice) for _ in range(8)])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -44,13 +45,14 @@ def test_stacked_bismut_curvature_equals_per_metric(seed):
         metrics = _case_metrics(case, seed)
         stacked = bismut_curvature(eqs, metrics)
         assert len(stacked) == len(metrics)
-        for m, omega in zip(metrics, stacked):
-            want = reference.bismut_curvature_alone(eqs, m, bracket)
+        for x, omega in zip(metrics, stacked):
+            want = reference.bismut_curvature_alone(eqs, MetricCoefficients.from_array(x),
+                                                    bracket)
             assert (np.max(np.abs(omega.data - want.data))
                     <= WITNESS_AGREEMENT * (1 + want.magnitude)), case.key
             assert omega.connection == want.connection == "bismut"
             # one metric is a stack of one
-            single = bismut_curvature(eqs, m)
+            single = bismut_curvature(eqs, x[None])[0]
             assert np.array_equal(single.data, omega.data), case.key
 
 
@@ -65,7 +67,7 @@ def test_stacked_check_cplx_equals_per_tensor_reports(seed):
             assert got == want, case.key
             assert type(got.max_violation) is float and type(got.tolerance) is float
             seen_violations += not got.satisfied
-        assert check_cplx(omegas[0]) == reference.check_cplx_alone(omegas[0])
+        assert check_cplx(omegas[0]) == [reference.check_cplx_alone(omegas[0])]
     # the witnesses of failing tensors were compared too
     assert seen_violations > 100
 
@@ -80,17 +82,17 @@ def test_batched_classify_equals_per_tensor_on_table3_sign_samples(starts):
         for _ in range(8):
             metrics.append(_sample_slice(rng, case.sign_slice))
             seeds.append(int(rng.integers(0, 2 ** 31)))
-        omegas = bismut_curvature(eqs, metrics)
+        omegas = bismut_curvature(eqs, np.array(metrics))
         assert sign_verdicts(omegas, starts, seeds) == [
             classify(omega, starts, seed).verdict for omega, seed in zip(omegas, seeds)]
 
 
 def test_classify_checks_every_tensor_of_a_batch(unit_metric):
-    fine = bismut_curvature(instantiate("Np", rho=1), unit_metric)
-    bad = bismut_curvature(instantiate("Sv"), unit_metric)
+    fine = bismut_curvature(instantiate("Np", rho=1), unit_metric.as_array()[None])
+    bad = bismut_curvature(instantiate("Sv"), unit_metric.as_array()[None])
     with pytest.raises(positivity.CplxViolationError):
-        sign_verdicts(CurvatureTensor(3, "bismut", np.stack([fine.data, bad.data])),
-                      starts=4, seed=[0, 1])
+        sign_verdicts(CurvatureTensor(3, "bismut", np.concatenate([fine.data, bad.data])),
+                      4, [0, 1])
 
 
 @functools.cache

@@ -131,7 +131,9 @@ def straddling_rows(draw):
         x[3:] *= 0.2
         m = MetricCoefficients.from_array(np.concatenate([x[:2], [0.0], x[3:]]))
         slope = m.r2 * m.s2 - abs(m.u) ** 2
-        x[2] = -invariant._cone_test(*m.as_array())[1][3] / slope * (1 + eps)
+        # a zero slope leaves the row on the boundary r2 s2 = |u|^2 instead
+        if slope:
+            x[2] = -invariant._cone_test(*m.as_array())[1][3] / slope * (1 + eps)
     elif which == 7:
         x[draw(st.integers(0, 8))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     return x

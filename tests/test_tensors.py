@@ -31,7 +31,7 @@ def test_contract_through_metric_inverse_gives_chern_trace():
 
 def test_max_abs_component_selector_sees_kinds(iwasawa, unit_metric):
     from hermflow.catalog import bismut_curvature
-    omega = bismut_curvature(iwasawa, unit_metric)
+    omega = bismut_curvature(iwasawa, unit_metric.as_array()[None])[0]
     # components whose first pair is (Z_i, Z_j), both holomorphic
     assert np.max(np.abs(omega.data[:3, :3])) < 1e-12
 
@@ -56,7 +56,8 @@ def test_a_witness_names_its_component():
     for case in CASES:
         rng = np.random.default_rng(0)
         omegas = bismut_curvature(instantiate(case.family, **case.params),
-                                  [sample_admissible_metric(rng) for _ in range(50)])
+                                  np.array([sample_admissible_metric(rng).as_array()
+                                            for _ in range(50)]))
         for omega, report in zip(omegas, check_cplx(omegas)):
             if report.satisfied:
                 continue
@@ -64,6 +65,16 @@ def test_a_witness_names_its_component():
             defect = report.max_violation - abs(omega.entry(*report.witness))
             assert defect <= 1e-12 * report.max_violation, (case.key, report.witness)
     assert violated > 100
+
+
+def test_one_tensor_is_a_stack_of_one(iwasawa, unit_metric):
+    omegas = bismut_curvature(iwasawa, unit_metric.as_array()[None])
+    assert len(omegas) == 1
+    reports = check_cplx(omegas[0])
+    assert isinstance(reports, list) and reports == check_cplx(omegas)
+    # metrics enter as coordinate rows, not as coefficient objects
+    with pytest.raises(TypeError):
+        bismut_curvature(iwasawa, [unit_metric])
 
 
 def test_tensor_rejects_nonfinite():

@@ -8,8 +8,9 @@ import pytest
 from hermflow import catalog, hopf, positivity
 from hermflow.catalog import bismut_curvature, instantiate
 from hermflow.invariant import MetricCoefficients
-from hermflow.positivity import (MAX_ALTERNATIONS, VERDICT_RTOL, CplxViolationError,
-                                 Verdict, classify, gamma_threshold, sign_verdicts)
+from hermflow.positivity import (DEFAULT_STARTS, MAX_ALTERNATIONS, VERDICT_RTOL,
+                                 CplxViolationError, Verdict, classify, gamma_threshold,
+                                 sign_verdicts)
 from tests.conftest import random_point
 
 FLOWPRES_CASES = ("Np/iwasawa", "Ni/h2/diagonal", "Ni/h8", "Nii/main", "Si/flat",
@@ -46,12 +47,12 @@ def assert_same_or_certified(blocks, starts, seeds):
 
 
 def recorded_calls(monkeypatch, name):
-    """Calls of ``catalog.<name>`` as (omega, starts, seed), passed through."""
+    """Calls of ``catalog.<name>`` as (omega, starts, seeds), passed through."""
     calls, inner = [], getattr(catalog, name)
 
-    def record(omega, starts, seed):
-        calls.append((omega, starts, seed))
-        return inner(omega, starts=starts, seed=seed)
+    def record(omega, starts, seeds):
+        calls.append((omega, starts, seeds))
+        return inner(omega, starts, seeds)
 
     monkeypatch.setattr(catalog, name, record)
     return calls
@@ -113,24 +114,32 @@ def test_flat_stack(rng):
 
 
 def test_single_tensor_gives_one_verdict(unit_metric):
-    omega = bismut_curvature(instantiate("Ni", rho=0, lam=0.0, D=-1.0), unit_metric)
-    assert sign_verdicts(omega, seed=1) is classify(omega, seed=1).verdict
+    omega = bismut_curvature(instantiate("Ni", rho=0, lam=0.0, D=-1.0),
+                             unit_metric.as_array()[None])[0]
+    assert sign_verdicts(omega, DEFAULT_STARTS, [1]) == [classify(omega, seed=1).verdict]
+
+
+def test_single_block_takes_a_list_of_one_seed(rng):
+    block = hopf.bismut_mixed_block(hopf.HopfMetric(3, 1.0, -0.2), random_point(rng, 3))
+    assert sign_verdicts(block, 8, [5]) == [classify(block, 8, 5).verdict]
+    with pytest.raises(TypeError):
+        sign_verdicts(block, 8, 5)
 
 
 def test_refuses_without_pure_type_vanishing(unit_metric):
-    omega = bismut_curvature(instantiate("Sv"), unit_metric)
+    omega = bismut_curvature(instantiate("Sv"), unit_metric.as_array()[None])[0]
     with pytest.raises(CplxViolationError) as expected:
         classify(omega)
     with pytest.raises(CplxViolationError) as refused:
-        sign_verdicts(omega)
+        sign_verdicts(omega, DEFAULT_STARTS, [0])
     assert str(refused.value) == str(expected.value)
 
 
 def test_decided_at_the_starts_sends_no_row_to_the_alternation(monkeypatch):
     omega = bismut_curvature(instantiate("Ni", rho=0, lam=0.0, D=-1.0),
-                             MetricCoefficients(1.0, 1.3, 0.9))
+                             MetricCoefficients(1.0, 1.3, 0.9).as_array()[None])
     rows = alternated_rows(monkeypatch)
-    assert sign_verdicts(omega, seed=1) is Verdict.INDEFINITE
+    assert sign_verdicts(omega, DEFAULT_STARTS, [1]) == [Verdict.INDEFINITE]
     assert rows == []
 
 
@@ -148,11 +157,12 @@ def test_start_value_inside_the_margin_falls_through(monkeypatch):
     margin = MAX_ALTERNATIONS * 1e-12 * (1.0 + (2 * 2 + 1) * 1.0)
     rows = alternated_rows(monkeypatch)
     # beyond the margin below -tol: decided at the starts
-    assert sign_verdicts(diagonal_block(VERDICT_RTOL + 2 * margin)) is Verdict.INDEFINITE
+    block = diagonal_block(VERDICT_RTOL + 2 * margin)
+    assert sign_verdicts(block, DEFAULT_STARTS, [0]) == [Verdict.INDEFINITE]
     assert rows == []
     # below -tol, but inside the margin: alternated, and still INDEFINITE
     block = diagonal_block(VERDICT_RTOL + margin / 2)
-    assert sign_verdicts(block) is Verdict.INDEFINITE
+    assert sign_verdicts(block, DEFAULT_STARTS, [0]) == [Verdict.INDEFINITE]
     assert rows == [2 * positivity.DEFAULT_STARTS + 4]
     assert classify(block).verdict is Verdict.INDEFINITE
 
@@ -172,12 +182,13 @@ def test_spectral_bound_inside_the_margin_falls_through(monkeypatch):
     rows = alternated_rows(monkeypatch)
     # the bound clears -tol by the margin: certified at the starts
     block = diagonal_block(VERDICT_RTOL - 2 * margin)
-    assert positivity._spectral_starts(block)[2][0] == pytest.approx(-VERDICT_RTOL + 2 * margin)
-    assert sign_verdicts(block) is Verdict.NON_NEGATIVE
+    bounds = positivity._spectral_starts(block[None])[2]
+    assert bounds[0, 0] == pytest.approx(-VERDICT_RTOL + 2 * margin)
+    assert sign_verdicts(block, DEFAULT_STARTS, [0]) == [Verdict.NON_NEGATIVE]
     assert rows == []
     # above -tol, but inside the margin: alternated, and still NON_NEGATIVE
     block = diagonal_block(VERDICT_RTOL - margin / 2)
-    assert sign_verdicts(block) is Verdict.NON_NEGATIVE
+    assert sign_verdicts(block, DEFAULT_STARTS, [0]) == [Verdict.NON_NEGATIVE]
     assert rows == [2 * positivity.DEFAULT_STARTS + 4]
     assert classify(block).verdict is Verdict.NON_NEGATIVE
 
@@ -187,6 +198,6 @@ def test_spectral_bound_certifies_non_positive(monkeypatch):
     margin = MAX_ALTERNATIONS * 1e-12 * (1.0 + (2 * 2 + 1) * 1.0)
     rows = alternated_rows(monkeypatch)
     block = -diagonal_block(VERDICT_RTOL - 2 * margin)
-    assert sign_verdicts(block) is Verdict.NON_POSITIVE
+    assert sign_verdicts(block, DEFAULT_STARTS, [0]) == [Verdict.NON_POSITIVE]
     assert rows == []
     assert classify(block).verdict is Verdict.NON_POSITIVE
