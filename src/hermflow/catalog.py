@@ -215,19 +215,26 @@ FAMILIES: dict[str, FamilySpec] = {
 def instantiate(family_id: str, **params) -> ComplexStructureEquations:
     """Structure equations of a family at a parameter point.
 
-    Raises for missing, unknown or inadmissible parameters; the returned
-    equations have passed the closedness and Jacobi checks (via dualization).
+    Raises for missing, unknown or inadmissible parameters, and for a
+    complex value of a parameter the builder annotates ``int`` or ``float``;
+    the returned equations have passed the closedness and Jacobi checks (via
+    dualization).
     """
     try:
         spec = FAMILIES[family_id]
     except KeyError:
         raise CatalogError(f"unknown family {family_id!r}; known: "
                            f"{sorted(FAMILIES)}") from None
-    names = list(inspect.signature(spec.builder).parameters)
+    signature = inspect.signature(spec.builder).parameters
+    names = list(signature)
     missing, unknown = [p for p in names if p not in params], sorted(set(params) - set(names))
     if missing or unknown:
         raise CatalogError(f"family {family_id} takes parameters {names} ({spec.parameters}): "
                            f"missing {missing}, unknown {unknown}")
+    for name, value in params.items():
+        # the builders compare their int and float parameters with numbers
+        if isinstance(value, complex) and signature[name].annotation in ("int", "float"):
+            raise CatalogError(f"family {family_id} takes a real {name}, got {value!r}")
     eqs = spec.builder(**params)
     eqs.bracket  # dualize validates integrability; raises IntegrabilityError
     return eqs

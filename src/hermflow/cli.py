@@ -38,6 +38,16 @@ def _finite(value, text: str):
     return value
 
 
+def _entry(text: str, option: str, entry: str, kind=float):
+    """``kind(text)`` for the ``entry`` of ``option``; text that does not
+    parse is refused naming both."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a real number"
+        raise CliError(f"{option} takes {what} {entry}, got {text!r}") from None
+
+
 def parse_complex(text: str) -> complex:
     """Numbers in ``re+imi`` form: ``0.5-0.25i``, ``i``, ``-2i``, ``1.5``.
     A real number is read first, so that ``inf`` and ``nan`` are refused as
@@ -124,14 +134,16 @@ def _emit(doc: dict, out=None) -> None:
     out.write("\n")
 
 
-def _write(body: str, path: str | None, end: str = "") -> None:
-    """``body`` into the file ``path``, or ``body + end`` to stdout without one."""
+def _write(write, path: str | None, end: str = "") -> None:
+    """``write(stream)`` into the file ``path``, or to stdout followed by
+    ``end`` without one."""
     if not path:
-        sys.stdout.write(body + end)
+        write(sys.stdout)
+        sys.stdout.write(end)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            write(fh)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -239,15 +251,17 @@ def cmd_flow(args) -> int:
         parts = [p for p in args.coeffs.split(",") if p.strip()]
         if len(parts) != 4:
             raise CliError(f"--coeffs needs a,b,c,d; got {args.coeffs!r}")
-        fc = flows.FlowCoefficients(*(float(p) for p in parts))
+        fc = flows.FlowCoefficients(*(_entry(p, "--coeffs", name)
+                                      for name, p in zip("abcd", parts)))
     try:
         traj = flows.integrate(args.alpha0, args.beta0, fc, args.n,
                                t_end=args.t_end, dt=args.dt)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    body = flows.trajectory_csv(traj) if args.format == "csv" \
-        else flows.trajectory_json(traj)
-    _write(body, args.output, "" if body.endswith("\n") else "\n")
+    if args.format == "csv":
+        _write(functools.partial(flows.trajectory_csv, traj), args.output)
+    else:
+        _write(functools.partial(flows.trajectory_json, traj), args.output, "\n")
     sc = flows.scalars(fc, args.n)
     preservation = flows.preserves_nonnegativity(fc, args.n)
     summary = {
@@ -300,11 +314,9 @@ def cmd_classify(args) -> int:
         parts = args.hopf.split(",")
         if len(parts) != 3:
             raise CliError("--hopf takes n,alpha,beta")
-        try:
-            n = int(parts[0])
-        except ValueError:
-            raise CliError(f"--hopf takes an integer n, got {parts[0]!r}") from None
-        h = hopf.HopfMetric(n, float(parts[1]), float(parts[2]))
+        n = _entry(parts[0], "--hopf", "n", int)
+        h = hopf.HopfMetric(n, _entry(parts[1], "--hopf", "alpha"),
+                            _entry(parts[2], "--hopf", "beta"))
         z = parse_vector(args.point, h.n) if args.point else \
             np.full(h.n, 1.0 / np.sqrt(h.n), dtype=complex)
         omega = hopf.bismut_curvature_at(h, z)
@@ -332,7 +344,7 @@ def cmd_table3(args) -> int:
     ok, diffs = catalog.compare_with_fixture(result, fixture)
     body = catalog.render_markdown(result) if args.format == "markdown" \
         else catalog.render_json(result)
-    _write(body, args.output)
+    _write(lambda out: out.write(body), args.output)
     if not ok:
         for diff in diffs:
             print(f"mismatch: {diff}", file=sys.stderr)

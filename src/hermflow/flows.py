@@ -357,23 +357,34 @@ def preserves_nonnegativity(fc: FlowCoefficients, n: int) -> PreservationReport:
 # trajectory export
 # ---------------------------------------------------------------------------
 
-def trajectory_csv(traj: FlowTrajectory) -> str:
-    lines = ["t,alpha,beta,gamma"]
+def trajectory_csv(traj: FlowTrajectory, out) -> None:
+    """Write the trajectory to the text stream ``out`` as CSV, one ``.12g``
+    row per state."""
+    out.write("t,alpha,beta,gamma\n")
     for t, a, b, g in zip(traj.times, traj.alphas, traj.betas, traj.gammas):
-        lines.append(f"{t:.12g},{a:.12g},{b:.12g},{g:.12g}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{t:.12g},{a:.12g},{b:.12g},{g:.12g}\n")
 
 
-def trajectory_json(traj: FlowTrajectory) -> str:
+def trajectory_json(traj: FlowTrajectory, out) -> None:
+    """Write the trajectory to the text stream ``out`` as the bytes of
+    ``json.dumps(doc, sort_keys=True)``, one top-level value at a time, so
+    that only one array is encoded in memory at once."""
     doc = {
         "n": traj.n,
         "coefficients": {"a": traj.coefficients.a, "b": traj.coefficients.b,
                          "c": traj.coefficients.c, "d": traj.coefficients.d,
                          "name": traj.coefficients.name},
         "summary": traj.summary(),
-        "t": traj.times.tolist(),
-        "alpha": traj.alphas.tolist(),
-        "beta": traj.betas.tolist(),
-        "gamma": traj.gammas.tolist(),
+        "t": traj.times,
+        "alpha": traj.alphas,
+        "beta": traj.betas,
+        "gamma": traj.gammas,
     }
-    return json.dumps(doc, sort_keys=True)
+    sep = "{"
+    for key in sorted(doc):
+        value = doc[key]
+        out.write(f"{sep}{json.dumps(key)}: ")
+        out.write(json.dumps(value.tolist()) if isinstance(value, np.ndarray)
+                  else json.dumps(value, sort_keys=True))
+        sep = ", "
+    out.write("}")

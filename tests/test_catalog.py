@@ -41,6 +41,20 @@ def test_instantiate_rejects_bad_parameters():
         instantiate("Xx")
 
 
+@pytest.mark.parametrize("family,params,name", [
+    ("Ni", {"rho": 0, "lam": 1j, "D": 0}, "lam"),
+    ("Nii", {"rho": 0, "B": 0, "c": 1j}, "c"),
+    ("Si", {"theta": 1j}, "theta"),
+    ("Sii", {"x": 1j}, "x"),
+    ("Np", {"rho": 1j}, "rho"),
+], ids=["Ni-lam", "Nii-c", "Si-theta", "Sii-x", "Np-rho"])
+def test_instantiate_refuses_a_complex_real_parameter(family, params, name):
+    # the float ones reached the builder's comparison, which raised a
+    # TypeError naming neither the family nor the parameter
+    with pytest.raises(CatalogError, match=f"^family {family} takes a real {name}, got 1j$"):
+        instantiate(family, **params)
+
+
 def test_parameter_range_sampling_keeps_integrability(rng):
     # grids over the printed ranges, plus random draws, all dualize cleanly
     thetas = np.linspace(0.0, np.pi, 10, endpoint=False)

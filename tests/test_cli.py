@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hermflow import flows
 from hermflow.cli import main, parse_assignments, parse_complex, parse_vector
 
 
@@ -255,14 +256,29 @@ def test_invalid_metric_exits_2(capsys):
     (["cplx", "--family=Ni"], "family Ni"),
     (["cplx", "--family=Np", "--params=rho=1,foo=2"], "family Np"),
     (["classify", "--family=Siii2", "--params=x=1"], "family Siii2"),
-    (["classify", "--hopf=3.5,1,1"], "--hopf"),
-], ids=["missing-params", "unknown-param", "params-of-none", "hopf-n-not-integer"])
+    (["classify", "--hopf=3.5,1,1"], "--hopf takes an integer n, got '3.5'"),
+    (["cplx", "--family=Ni", "--params=rho=0,lam=1i,D=0"], "family Ni takes a real lam"),
+], ids=["missing-params", "unknown-param", "params-of-none", "hopf-n-not-integer",
+        "complex-real-param"])
 def test_bad_family_parameters_exit_2(capsys, argv, named):
     # these used to name a private builder, or print int()'s message
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and "_builder" not in err
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["classify", "--hopf=3,x,1"], "--hopf takes a real number alpha, got 'x'"),
+    (["classify", "--hopf=3,1,1e"], "--hopf takes a real number beta, got '1e'"),
+    (["flow", "--coeffs=1,x,0,0", "--n=3", "--alpha0=1", "--beta0=0"],
+     "--coeffs takes a real number b, got 'x'"),
+    (["flow", "--coeffs=1,0,0,1i", "--n=3", "--alpha0=1", "--beta0=0"],
+     "--coeffs takes a real number d, got '1i'"),
+], ids=["hopf-alpha", "hopf-beta", "coeffs-b", "coeffs-d"])
+def test_non_numeric_entries_exit_2(capsys, argv, err):
+    # these printed float()'s message, which names neither option nor entry
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -287,6 +303,57 @@ def test_flow_json_format(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert doc["summary"]["F"] == 0.0
     assert max(abs(g) for g in doc["gamma"]) < 1e-12
+
+
+_LONG_FLOW = ["--coeffs=0.9260382802485345,0.601834073217218,-0.037479006849462815,"
+              "0.627068128359271", "--n=2", "--alpha0=1.4042733578616744",
+              "--beta0=0.5171694895879323"]
+_CONE_EXIT_FLOW = ["--coeffs=-1.5,0.4,1.2,-0.3", "--n=3", "--alpha0=0.8", "--beta0=0.1"]
+
+
+def _expected_trajectory(argv, fmt):
+    """The trajectory bytes as the whole-document encoder wrote them:
+    ``json.dumps(doc, sort_keys=True)``, or every state as ``.12g`` rows."""
+    opts = dict(arg[2:].split("=", 1) for arg in argv)
+    fc = flows.FlowCoefficients(*(float(c) for c in opts["coeffs"].split(",")))
+    traj = flows.integrate(float(opts["alpha0"]), float(opts["beta0"]), fc,
+                           int(opts["n"]), t_end=10.0)
+    if fmt == "csv":
+        return "t,alpha,beta,gamma\n" + "".join(
+            f"{t:.12g},{a:.12g},{b:.12g},{g:.12g}\n"
+            for t, a, b, g in zip(traj.times, traj.alphas, traj.betas, traj.gammas))
+    doc = {
+        "n": traj.n,
+        "coefficients": {"a": fc.a, "b": fc.b, "c": fc.c, "d": fc.d, "name": None},
+        "summary": traj.summary(),
+        "t": traj.times.tolist(),
+        "alpha": traj.alphas.tolist(),
+        "beta": traj.betas.tolist(),
+        "gamma": traj.gammas.tolist(),
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,steps,termination", [
+    (_LONG_FLOW, 10_001, "reached_t_end"),
+    (_CONE_EXIT_FLOW, 907, "left_admissible_cone"),
+], ids=["long", "cone-exit"])
+def test_flow_trajectory_bytes(capsys, tmp_path, argv, steps, termination, fmt):
+    expected = _expected_trajectory(argv, fmt)
+    states = expected.count("\n") - 1 if fmt == "csv" else len(json.loads(expected)["t"])
+    assert states == steps
+    code, out, err = run(capsys, "flow", *argv, f"--format={fmt}")
+    assert code == 0
+    # stdout ends the JSON document with a newline; a CSV ends with its last row
+    assert out == expected + ("\n" if fmt == "json" else "")
+    summary = json.loads(err)["summary"]
+    assert summary["termination"] == termination
+    path = tmp_path / f"traj.{fmt}"
+    code, out, err_file = run(capsys, "flow", *argv, f"--format={fmt}", f"--output={path}")
+    assert code == 0 and err_file == ""
+    assert json.loads(out) == {"summary": summary}
+    assert path.read_bytes() == expected.encode()
 
 
 def test_table3_below_minimum(capsys):
@@ -340,8 +407,10 @@ def test_table3_bad_fixture_exits_2_before_regenerating(capsys, tmp_path, monkey
 @pytest.mark.parametrize("argv", [
     ["flow", "--name", "gradient", "--n", "3", "--alpha0", "1", "--beta0", "0",
      "--t-end", "0.1"],
+    ["flow", "--name", "gradient", "--n", "3", "--alpha0", "1", "--beta0", "0",
+     "--t-end", "0.1", "--format", "json"],
     ["table3", "--samples", "50"],
-], ids=["flow", "table3"])
+], ids=["flow", "flow-json", "table3"])
 def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, "--seed", "0", *argv, "--output", str(target))

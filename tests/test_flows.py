@@ -1,4 +1,7 @@
+import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,15 +184,38 @@ def test_preservation_verdicts():
 
 def test_trajectory_export_round_trip(tmp_path):
     traj = integrate(1.0, 0.0, named_flow("gradient"), 3, t_end=0.05, dt=1e-2)
-    csv = trajectory_csv(traj)
-    lines = csv.strip().splitlines()
+    out = io.StringIO()
+    trajectory_csv(traj, out)
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "t,alpha,beta,gamma"
     assert len(lines) == len(traj.times) + 1
-    import json
-    doc = json.loads(trajectory_json(traj))
+    out = io.StringIO()
+    trajectory_json(traj, out)
+    doc = json.loads(out.getvalue())
     assert doc["summary"]["F"] == pytest.approx(-3.0)
     assert doc["t"][0] == 0.0
     assert len(doc["gamma"]) == len(traj.times)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_json_export_holds_one_array_at_a_time():
+    # the document used to be encoded whole, a 810 KB string built from a
+    # chunk list: the traced peak was over 5 MB
+    fc = FlowCoefficients(0.9260382802485345, 0.601834073217218,
+                          -0.037479006849462815, 0.627068128359271)
+    traj = integrate(1.4042733578616744, 0.5171694895879323, fc, 2, t_end=10.0)
+    assert len(traj.times) == 10_001
+    tracemalloc.start()
+    try:
+        trajectory_json(traj, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------
