@@ -22,9 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .flows import NAMED_FLOWS, FlowCoefficients
-from .invariant import (ComplexStructureEquations, ConnectionKind, MetricCoefficients,
-                        check_cplx, connection, curvature, frame_metrics,
-                        integrate_invariant_flows, sample_admissible_metrics)
+from .invariant import (ComplexStructureEquations, MetricCoefficients, bismut_curvatures,
+                        check_cplx, integrate_invariant_flows, sample_admissible_metrics)
 from .positivity import DEFAULT_STARTS, sign_verdicts
 from .tensors import CurvatureTensor
 
@@ -389,8 +388,7 @@ def _sample_off_slice(rng: np.random.Generator, slice_spec: dict) -> np.ndarray:
 def bismut_curvature(eqs: ComplexStructureEquations, x: np.ndarray) -> CurvatureTensor:
     """The stack of the Bismut curvatures of an invariant structure at the
     rows of the (R, 9) stack ``x`` of ``as_array`` coordinates."""
-    bracket = eqs.bracket
-    return curvature(connection(ConnectionKind.BISMUT, bracket, frame_metrics(x)), bracket)
+    return bismut_curvatures(eqs.bracket, x)
 
 
 # ---------------------------------------------------------------------------

@@ -183,19 +183,25 @@ class BracketTable:
         trace sources ``(-low[b~], low[a])`` and ``W[(b, a)] = f[a, b~, E]
         low[E]``; row ``c`` holds them at the ``c``-th unit vector, by the
         ``connection()`` formula."""
-        n = 3
-        G = np.array([MetricCoefficients.from_array(e).hermitian_matrix() for e in np.eye(9)])
-        g = np.zeros((9, 2 * n, 2 * n), dtype=complex)
-        g[:, :n, n:], g[:, n:, :n] = G, G.swapaxes(1, 2)
-        # the Chern correction -jd[A]/2 domega[A, B, C] of connection()
-        chern = (_koszul_lowered(self.f, g)
-                 - 0.5 * _j_diagonal(n)[:, None, None] * d_omega(self.f, g, n))
-        low = chern[:, :, :n, n:]
+        n, g = 3, _frame_metrics_of(np.eye(9))
+        G = g[:, :n, n:]
+        low = _lowered(ConnectionKind.CHERN, self.f, g)[:, :, :n, n:]
         t_low = (low[:, :n] - low[:, :n].swapaxes(1, 2)
                  - (self.f[:n, :n, :n].reshape(n * n, n) @ G).reshape(9, n, n, n))
         W = self.f[:n, n:].swapaxes(0, 1).reshape(n * n, 2 * n) @ low.reshape(9, 2 * n, n * n)
         return np.concatenate([b.reshape(9, -1) for b in (
             G, t_low, low.transpose(0, 2, 1, 3), -low[:, n:], low[:, :n], W)], axis=1)
+
+    @functools.cached_property
+    def bismut_map(self) -> np.ndarray:
+        """The (9, 117) matrix with which ``x @ bismut_map`` holds ``G[i, k~]``
+        and the lowered Bismut blocks ``SIGN L[A, c, d~]`` and ``SIGN L[A,
+        c~, d]``, ``SIGN = CURVATURE_COMPONENT_SIGN``, flattened, in the same
+        way as ``tangent_map``."""
+        n, g = 3, _frame_metrics_of(np.eye(9))
+        low = CURVATURE_COMPONENT_SIGN * _lowered(ConnectionKind.BISMUT, self.f, g)
+        return np.concatenate([b.reshape(9, -1) for b in (
+            g[:, :n, n:], low[:, :, :n, n:], low[:, :, n:, :n])], axis=1)
 
 
 def dualize(eqs: ComplexStructureEquations) -> BracketTable:
@@ -336,15 +342,25 @@ class MetricCoefficients:
                    z=complex(x[7], x[8]))
 
 
+def _refuse_inadmissible(x: np.ndarray) -> np.ndarray:
+    """``x`` as floats; refuses its first row outside the cone, as ``validate``."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bad = ~_admissible_rows(x)
+    if bad.any():
+        MetricCoefficients.from_array(x[np.argmax(bad)]).validate()
+    return x
+
+
 def frame_metrics(x: np.ndarray) -> np.ndarray:
     """The complex-bilinear metrics ``g[r, A, B] = g(e_A, e_B)`` over the full
     frame of the rows of the (R, 9) stack ``x`` of ``as_array`` coordinates,
     with ``hermitian_matrix``'s operations; refuses the first row outside
     the cone with ``validate``'s error."""
-    x = np.ascontiguousarray(x, dtype=float)
-    bad = ~_admissible_rows(x)
-    if bad.any():
-        MetricCoefficients.from_array(x[np.argmax(bad)]).validate()
+    return _frame_metrics_of(_refuse_inadmissible(x))
+
+
+def _frame_metrics_of(x: np.ndarray) -> np.ndarray:
+    """``frame_metrics`` without the cone test, linear in ``x``."""
     R, n = len(x), 3
     # -i u / 2, -i v / 2 and -i z / 2 from the (re, im) pairs of u, v, z
     u, v, z = (-0.5j * x[:, 3:].view(complex)).T
@@ -487,17 +503,23 @@ def connection(kind: ConnectionKind,
     ``g`` is one frame metric or a stack ``g[..., A, B]`` of them; the
     coefficients then carry the same leading axes.
     """
-    n, f, lead = bracket.n, bracket.f, g.shape[:-2]
-    lowered = _koszul_lowered(f, g)
-    if kind is not ConnectionKind.LEVI_CIVITA:
-        dw = d_omega(f, g, n)
-        jd = _j_diagonal(n)
-        if kind is ConnectionKind.BISMUT:
-            lowered = lowered + 0.5 * (jd[:, None, None] * jd[:, None] * jd) * dw
-        else:
-            lowered = lowered - 0.5 * jd[:, None, None] * dw
+    n, lead = bracket.n, g.shape[:-2]
+    lowered = _lowered(kind, bracket.f, g)
     gamma = lowered.reshape(lead + (4 * n * n, 2 * n)) @ np.linalg.inv(g)
     return ConnectionCoefficients(kind, n, gamma.reshape(lowered.shape), g, lowered)
+
+
+def _lowered(kind: ConnectionKind, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g(grad_{e_A} e_B, e_C)`` of ``connection`` on a stack of frame metrics
+    ``g[..., A, B]``: the Koszul term, plus the Bismut or Chern correction."""
+    n = len(f) // 2
+    lowered = _koszul_lowered(f, g)
+    if kind is ConnectionKind.LEVI_CIVITA:
+        return lowered
+    dw, jd = d_omega(f, g, n), _j_diagonal(n)
+    if kind is ConnectionKind.BISMUT:
+        return lowered + 0.5 * (jd[:, None, None] * jd[:, None] * jd) * dw
+    return lowered - 0.5 * jd[:, None, None] * dw
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +545,33 @@ def curvature(conn: ConnectionCoefficients, bracket: BracketTable) -> CurvatureT
     np.subtract(np.moveaxis(T, -2, -4), direct, out=direct)
     direct -= T.swapaxes(-3, -2)
     return CurvatureTensor(n=conn.n, connection=conn.kind.value, data=direct)
+
+
+def bismut_curvatures(bracket: BracketTable, x: np.ndarray) -> CurvatureTensor:
+    """``curvature`` of the Bismut connection at ``frame_metrics(x)``, to
+    round-off, for the (R, 9) stack ``x`` of ``as_array`` rows (n = 3),
+    refusing as ``frame_metrics`` does.  The connection is Hermitian, so the
+    blocks with a pure-type second pair are exact zeros; the mixed ones take
+    ``BracketTable.bismut_map`` and, of the lowered ``L``, only ``gamma[B, c,
+    e] = L[B, c, a~] Ginv[a, e]`` and ``gamma[B, c~, e~] = L[B, c~, a] Ginv[e, a]``."""
+    x = _refuse_inadmissible(x)
+    R, n = len(x), 3
+    N, nn = 2 * n, n * n
+    # one product per row: a stack of one is then any row of a stack, bit for bit
+    blocks = (x[:, None, :] @ bracket.bismut_map)[:, 0]
+    # the signed blocks times SIGN Ginv (a factor of +-1, so exact) give gamma
+    Ginv = CURVATURE_COMPONENT_SIGN * np.linalg.inv(blocks[:, :nn].reshape(R, n, n))
+    data = np.zeros((R,) + (N,) * 4, dtype=complex)
+    h, a = slice(0, n), slice(n, N)
+    lows = blocks[:, nn:].reshape(R, 2, N, n, n)
+    for low, P, C, D in ((lows[:, 0], Ginv, h, a), (lows[:, 1], Ginv.swapaxes(1, 2), a, h)):
+        gam = low.reshape(R, N * n, n) @ P
+        T = (gam @ low.swapaxes(1, 2).reshape(R, n, N * n)).reshape(R, N, n, N, n)
+        direct = bracket.f.reshape(N * N, N) @ low.reshape(R, N, nn)
+        out = data[..., C, D]
+        np.subtract(T.transpose(0, 3, 1, 2, 4), direct.reshape(out.shape), out=out)
+        out -= T.transpose(0, 1, 3, 2, 4)
+    return CurvatureTensor(n=n, connection=ConnectionKind.BISMUT.value, data=data)
 
 
 @dataclass(frozen=True)
@@ -565,18 +614,19 @@ def check_cplx(omega: CurvatureTensor) -> list[CplxReport]:
     n = omega.n
     moduli = np.abs(omega.data).reshape(-1, (2 * n) ** 4)
     offsets = _pure_type_offsets(n)
-    pure = moduli[:, offsets]
+    # np.take keeps the gathered rows C-ordered, where the row maxima are fast
+    pure = np.take(moduli, offsets, axis=1)
     worst = pure.max(axis=1)
     first = np.argmax(pure >= (1.0 - 1e-12) * worst[:, None], axis=1)
+    # frame_label of each slot of each tensor's first worst component
+    at = np.array(np.unravel_index(offsets[first], (2 * n,) * 4))
+    labels = np.where(at < n, at + 1, n - at - 1).T.tolist()
     reports = []
-    for violation, magnitude, at in zip(worst.tolist(), moduli.max(axis=1).tolist(),
-                                        offsets[first].tolist()):
+    for violation, magnitude, label in zip(worst.tolist(), moduli.max(axis=1).tolist(), labels):
         tol = zero_threshold(magnitude)
         satisfied = violation <= tol
-        witness = None if satisfied else tuple(
-            frame_label(int(x), n) for x in np.unravel_index(at, (2 * n,) * 4))
         reports.append(CplxReport(satisfied=satisfied, max_violation=violation,
-                                  witness=witness, tolerance=tol))
+                                  witness=None if satisfied else tuple(label), tolerance=tol))
     return reports
 
 

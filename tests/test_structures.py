@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermflow.catalog import CASES, instantiate
+from hermflow.catalog import CASES, bismut_curvature, instantiate
 from hermflow.invariant import (SAMPLE_MAX_TRIES, ComplexStructureEquations,
                                 IntegrabilityError, MetricCoefficients,
                                 MetricError, _cone_test, dualize, frame_metric,
@@ -195,9 +195,12 @@ def test_frame_metrics_refuse_the_first_row_outside_the_cone():
     rows = [good, MetricCoefficients(1.0, 1.0, 1.0, v=1.5).as_array(),
             MetricCoefficients(-1.0, 1.0, 1.0).as_array()]
     # above the size at which the cone test runs on columns, too
+    iwasawa = instantiate("Np", rho=1)
     for stack in (np.array(rows), np.array([good] * 20 + rows)):
-        with pytest.raises(MetricError) as info:
-            frame_metrics(stack)
-        assert str(info.value) == "s2*t2 > |v|^2 fails: 1.0 <= 2.25"
+        # the stacked Bismut curvature refuses it alike
+        for build in (frame_metrics, lambda x: bismut_curvature(iwasawa, x)):
+            with pytest.raises(MetricError) as info:
+                build(stack)
+            assert str(info.value) == "s2*t2 > |v|^2 fails: 1.0 <= 2.25"
     assert np.array_equal(frame_metric(MetricCoefficients(1.0, 1.0, 1.0)),
                           frame_metrics(good[None])[0])

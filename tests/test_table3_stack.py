@@ -51,6 +51,13 @@ def test_stacked_bismut_curvature_equals_per_metric(seed):
             assert (np.max(np.abs(omega.data - want.data))
                     <= WITNESS_AGREEMENT * (1 + want.magnitude)), case.key
             assert omega.connection == want.connection == "bismut"
+            # the Bismut connection is Hermitian: the second pair of its
+            # curvature is mixed, to round-off in the reference and exactly
+            # in the stack, which forms only the mixed blocks
+            for C in (slice(0, 3), slice(3, 6)):
+                assert (np.max(np.abs(want.data[..., C, C]))
+                        <= 1e-15 * (1 + want.magnitude)), case.key
+                assert not omega.data[..., C, C].any(), case.key
             # one metric is a stack of one
             single = bismut_curvature(eqs, x[None])[0]
             assert np.array_equal(single.data, omega.data), case.key
