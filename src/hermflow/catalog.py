@@ -23,7 +23,8 @@ import numpy as np
 
 from .flows import NAMED_FLOWS, FlowCoefficients
 from .invariant import (ComplexStructureEquations, MetricCoefficients, bismut_curvatures,
-                        check_cplx, integrate_invariant_flows, sample_admissible_metrics)
+                        bismut_pure_type, check_cplx, integrate_invariant_flows,
+                        sample_admissible_metrics)
 from .positivity import DEFAULT_STARTS, sign_verdicts
 from .tensors import CurvatureTensor
 
@@ -31,11 +32,11 @@ MIN_SAMPLES = 50
 #: sign samples per classified case, and records per flow after its start
 SIGN_SAMPLES = 8
 FLOW_CHECKPOINTS = 2
-#: metrics per stacked Bismut curvature in the pure-type scans.  The stack's
-#: temporaries grow with it (about 0.1 MB per metric), while the per-call
-#: overhead it saves levels off: on 200 Nii/main metrics a scan takes 88 ms
-#: one metric at a time, 61 ms in chunks of 16 and 59-62 ms in chunks of
-#: 32 to 200.
+#: metrics per stack in the pure-type scans.  The stack's temporaries grow
+#: with it, while the per-call overhead it saves levels off: measured on
+#: full curvature stacks (about 0.1 MB per metric), 200 Nii/main metrics
+#: took 88 ms one metric at a time, 61 ms in chunks of 16 and 59-62 ms in
+#: chunks of 32 to 200.
 SCAN_CHUNK = 16
 OFF_SLICE_FLOOR = 0.05
 WITNESS_RTOL = 1e-8
@@ -545,29 +546,32 @@ def classify_case(case: ClassificationCase,
     """Recompute one classification row from scratch.
 
     Each phase draws all of its metrics first, in the order of the rng, and
-    then scans them in stacks of ``SCAN_CHUNK``; the ``SIGN_SAMPLES`` sign
-    samples are classified in one stack, through ``sign_verdicts``, as only
-    their verdicts are kept.
+    then scans them in stacks of ``SCAN_CHUNK``: ``bismut_pure_type`` decides
+    the random, slice and off-slice metrics from the two mixed curvature
+    blocks, and only the never-slice metrics, whose witnesses read
+    components, get curvature tensors.  The ``SIGN_SAMPLES`` sign samples
+    are classified in one stack, through ``sign_verdicts``, as only their
+    verdicts are kept.
     """
     eqs = instantiate(case.family, **case.params)
     detail: dict = {}
     witnesses: list[WitnessResult] = []
 
-    def scan(x: np.ndarray):
-        """(rows, curvature stack, pure-type reports) per stack of rows."""
+    def passes(x: np.ndarray) -> int:
+        """How many rows have vanishing pure-type components, decided as
+        ``check_cplx`` decides them, without forming the curvatures."""
+        count = 0
         for at in range(0, len(x), SCAN_CHUNK):
-            omegas = bismut_curvature(eqs, x[at:at + SCAN_CHUNK])
-            yield x[at:at + SCAN_CHUNK], omegas, check_cplx(omegas)
-
-    def passes(x: np.ndarray) -> list[bool]:
-        return [r.satisfied for _, _, reports in scan(x) for r in reports]
+            violation, tolerance = bismut_pure_type(eqs.bracket, x[at:at + SCAN_CHUNK])
+            count += int(np.count_nonzero(violation <= tolerance))
+        return count
 
     def witnessed(x: np.ndarray, omegas: CurvatureTensor) -> None:
         for row, omega in zip(x, omegas):
             witnesses.extend(_witnesses(case, MetricCoefficients.from_array(row), omega))
 
     # (a) random full metrics
-    random_pass = sum(passes(sample_admissible_metrics(rng, samples)))
+    random_pass = passes(sample_admissible_metrics(rng, samples))
     detail["random_pass"] = random_pass
     detail["random_total"] = samples
 
@@ -579,8 +583,8 @@ def classify_case(case: ClassificationCase,
     if case.cplx == "always":
         observed = "always" if random_pass == samples else "violated"
     elif case.cplx == "slice":
-        slice_pass = sum(passes(drawn(_sample_slice, case.cplx_slice)))
-        off_fail = n_aux - sum(passes(drawn(_sample_off_slice, case.cplx_slice)))
+        slice_pass = passes(drawn(_sample_slice, case.cplx_slice))
+        off_fail = n_aux - passes(drawn(_sample_off_slice, case.cplx_slice))
         detail["slice_pass"] = slice_pass
         detail["slice_total"] = n_aux
         detail["off_slice_fail"] = off_fail
@@ -591,9 +595,11 @@ def classify_case(case: ClassificationCase,
     else:  # never
         slice_fail = True
         x = np.concatenate([drawn(_sample_slice, spec) for spec in case.never_slices])
-        for rows, omegas, reports in scan(x):
-            slice_fail &= not any(r.satisfied for r in reports)
-            witnessed(rows, omegas)
+        for at in range(0, len(x), SCAN_CHUNK):
+            chunk = x[at:at + SCAN_CHUNK]
+            omegas = bismut_curvature(eqs, chunk)
+            slice_fail &= not any(r.satisfied for r in check_cplx(omegas))
+            witnessed(chunk, omegas)
         observed = "never" if (random_pass == 0 and slice_fail) else "inconsistent"
 
     # (c) sign classification on the slice

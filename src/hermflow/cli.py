@@ -3,10 +3,10 @@
 Subcommands: ``families``, ``hopf``, ``flow``, ``cplx``, ``classify``,
 ``table3``.  All output is machine-readable (JSON, or CSV for trajectories);
 runs are deterministic for a fixed ``--seed`` (default from the
-``HERMFLOW_SEED`` environment variable, read for every command; a value that
-is not an integer exits 2).  ``main`` builds the argument parser on its first
-call and reuses it.  Exit codes: 0 success, 1 verification mismatch, 2
-invalid input.
+``HERMFLOW_SEED`` environment variable, read for every command; a seed that
+is not a non-negative integer exits 2).  ``main`` builds the argument parser
+on its first call and reuses it.  Exit codes: 0 success, 1 verification
+mismatch, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -123,9 +123,12 @@ def parse_metric(text: str | None) -> MetricCoefficients:
 def _default_seed() -> int:
     text = os.environ.get("HERMFLOW_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise CliError(f"HERMFLOW_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise CliError(f"HERMFLOW_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _emit(doc: dict, out=None) -> None:
@@ -440,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         # read for every command: the cached parser's default is stale
         namespace = argparse.Namespace(seed=_default_seed())
         args = _parser().parse_args(argv, namespace)
+        if args.seed < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         return _HANDLERS[args.command](args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

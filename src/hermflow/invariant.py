@@ -37,7 +37,8 @@ from typing import Iterable
 import numpy as np
 
 from .flows import Termination, check_finite
-from .tensors import CurvatureTensor, frame_label, label_name, zero_threshold
+from .tensors import (ZERO_RTOL, CurvatureTensor, TensorError, frame_label, label_name,
+                      zero_threshold)
 
 #: calibrated sign relating reported curvature components to g(R(A,B)C, D)
 CURVATURE_COMPONENT_SIGN = -1.0
@@ -547,13 +548,14 @@ def curvature(conn: ConnectionCoefficients, bracket: BracketTable) -> CurvatureT
     return CurvatureTensor(n=conn.n, connection=conn.kind.value, data=direct)
 
 
-def bismut_curvatures(bracket: BracketTable, x: np.ndarray) -> CurvatureTensor:
-    """``curvature`` of the Bismut connection at ``frame_metrics(x)``, to
-    round-off, for the (R, 9) stack ``x`` of ``as_array`` rows (n = 3),
-    refusing as ``frame_metrics`` does.  The connection is Hermitian, so the
-    blocks with a pure-type second pair are exact zeros; the mixed ones take
-    ``BracketTable.bismut_map`` and, of the lowered ``L``, only ``gamma[B, c,
-    e] = L[B, c, a~] Ginv[a, e]`` and ``gamma[B, c~, e~] = L[B, c~, a] Ginv[e, a]``."""
+def _bismut_mixed_blocks(bracket: BracketTable, x: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The Bismut curvature blocks ``data[..., h, a]`` and ``data[..., a, h]``
+    of ``bismut_curvatures``, each (R, 2n, 2n, n, n), for the (R, 9) stack
+    ``x`` of ``as_array`` rows (n = 3), refusing as ``frame_metrics`` does.
+    They take ``BracketTable.bismut_map`` and, of the lowered ``L``, only
+    ``gamma[B, c, e] = L[B, c, a~] Ginv[a, e]`` and ``gamma[B, c~, e~] =
+    L[B, c~, a] Ginv[e, a]``."""
     x = _refuse_inadmissible(x)
     R, n = len(x), 3
     N, nn = 2 * n, n * n
@@ -561,17 +563,51 @@ def bismut_curvatures(bracket: BracketTable, x: np.ndarray) -> CurvatureTensor:
     blocks = (x[:, None, :] @ bracket.bismut_map)[:, 0]
     # the signed blocks times SIGN Ginv (a factor of +-1, so exact) give gamma
     Ginv = CURVATURE_COMPONENT_SIGN * np.linalg.inv(blocks[:, :nn].reshape(R, n, n))
-    data = np.zeros((R,) + (N,) * 4, dtype=complex)
-    h, a = slice(0, n), slice(n, N)
     lows = blocks[:, nn:].reshape(R, 2, N, n, n)
-    for low, P, C, D in ((lows[:, 0], Ginv, h, a), (lows[:, 1], Ginv.swapaxes(1, 2), a, h)):
+    out = []
+    for low, P in ((lows[:, 0], Ginv), (lows[:, 1], Ginv.swapaxes(1, 2))):
         gam = low.reshape(R, N * n, n) @ P
         T = (gam @ low.swapaxes(1, 2).reshape(R, n, N * n)).reshape(R, N, n, N, n)
-        direct = bracket.f.reshape(N * N, N) @ low.reshape(R, N, nn)
-        out = data[..., C, D]
-        np.subtract(T.transpose(0, 3, 1, 2, 4), direct.reshape(out.shape), out=out)
-        out -= T.transpose(0, 1, 3, 2, 4)
+        direct = (bracket.f.reshape(N * N, N) @ low.reshape(R, N, nn)).reshape(R, N, N, n, n)
+        np.subtract(T.transpose(0, 3, 1, 2, 4), direct, out=direct)
+        direct -= T.transpose(0, 1, 3, 2, 4)
+        out.append(direct)
+    return tuple(out)
+
+
+def bismut_curvatures(bracket: BracketTable, x: np.ndarray) -> CurvatureTensor:
+    """``curvature`` of the Bismut connection at ``frame_metrics(x)``, to
+    round-off, for the (R, 9) stack ``x`` of ``as_array`` rows (n = 3),
+    refusing as ``frame_metrics`` does.  The connection is Hermitian, so the
+    blocks with a pure-type second pair are exact zeros; the mixed ones are
+    ``_bismut_mixed_blocks``."""
+    blocks = _bismut_mixed_blocks(bracket, x)
+    n = 3
+    data = np.zeros((len(blocks[0]),) + (2 * n,) * 4, dtype=complex)
+    h, a = slice(0, n), slice(n, 2 * n)
+    data[..., h, a], data[..., a, h] = blocks
     return CurvatureTensor(n=n, connection=ConnectionKind.BISMUT.value, data=data)
+
+
+def bismut_pure_type(bracket: BracketTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``max_violation`` and ``tolerance`` of ``check_cplx(bismut_curvatures(
+    bracket, x))`` for each row of the (R, 9) stack ``x``, bit for bit, as
+    two (R,) arrays, with the same refusals; no curvature tensor is formed.
+    The blocks with a pure-type second pair are exact zeros, so the largest
+    pure-type modulus is that of a pure first pair in the two mixed blocks,
+    and the largest modulus of all is theirs."""
+    n = 3
+    most, pure = [], []
+    for block in _bismut_mixed_blocks(bracket, x):
+        moduli = np.abs(block)
+        most.append(moduli.reshape(len(moduli), -1).max(axis=1))
+        # a non-finite component has a non-finite modulus; a finite one may
+        # overflow its modulus, which check_cplx then reads as it is
+        if not np.isfinite(most[-1]).all() and not np.isfinite(block.view(float)).all():
+            raise TensorError("curvature entries must be finite")
+        for half in (slice(0, n), slice(n, 2 * n)):
+            pure.append(moduli[:, half, half].max(axis=(1, 2, 3, 4)))
+    return np.maximum.reduce(pure), ZERO_RTOL * (1.0 + np.maximum(*most))
 
 
 @dataclass(frozen=True)

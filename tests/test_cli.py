@@ -497,3 +497,20 @@ def test_seed_env_read_per_command(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: HERMFLOW_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--seed", "-1", "table3", "--samples", "50"], None,
+     "error: --seed must be a non-negative integer, got -1\n"),
+    (["--seed=-7", "classify", "--family", "Siv1", "--metric", "r2=1,s2=1,t2=1"], None,
+     "error: --seed must be a non-negative integer, got -7\n"),
+    (["table3", "--samples", "50"], "-5",
+     "error: HERMFLOW_SEED must be a non-negative integer, got '-5'\n"),
+])
+def test_negative_seed_exits_2_naming_its_source(capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("HERMFLOW_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HERMFLOW_SEED", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)

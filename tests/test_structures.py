@@ -4,10 +4,10 @@ import pytest
 from hermflow.catalog import CASES, bismut_curvature, instantiate
 from hermflow.invariant import (SAMPLE_MAX_TRIES, ComplexStructureEquations,
                                 IntegrabilityError, MetricCoefficients,
-                                MetricError, _cone_test, dualize, frame_metric,
-                                frame_metrics, sample_admissible_metric,
+                                MetricError, _cone_test, bismut_pure_type, dualize,
+                                frame_metric, frame_metrics, sample_admissible_metric,
                                 sample_admissible_metrics)
-from hermflow.tensors import frame_offset
+from hermflow.tensors import TensorError, frame_offset
 from tests import reference
 from tests.reference import conjugation_symmetry_residual
 
@@ -197,10 +197,26 @@ def test_frame_metrics_refuse_the_first_row_outside_the_cone():
     # above the size at which the cone test runs on columns, too
     iwasawa = instantiate("Np", rho=1)
     for stack in (np.array(rows), np.array([good] * 20 + rows)):
-        # the stacked Bismut curvature refuses it alike
-        for build in (frame_metrics, lambda x: bismut_curvature(iwasawa, x)):
+        # the stacked Bismut curvature and the pure-type scan refuse it alike
+        for build in (frame_metrics, lambda x: bismut_curvature(iwasawa, x),
+                      lambda x: bismut_pure_type(iwasawa.bracket, x)):
             with pytest.raises(MetricError) as info:
                 build(stack)
             assert str(info.value) == "s2*t2 > |v|^2 fails: 1.0 <= 2.25"
     assert np.array_equal(frame_metric(MetricCoefficients(1.0, 1.0, 1.0)),
                           frame_metrics(good[None])[0])
+
+
+def test_pure_type_scan_refuses_a_non_finite_curvature_alike():
+    # an admissible metric whose curvature overflows, under the errstate of
+    # the cplx and classify commands
+    iwasawa = instantiate("Np", rho=1)
+    x = np.array([MetricCoefficients(1.0, 1.0, 1e160).as_array()])
+    for build in (lambda x: bismut_curvature(iwasawa, x),
+                  lambda x: bismut_pure_type(iwasawa.bracket, x)):
+        for stack in (x, np.concatenate([np.tile(MetricCoefficients(1.0, 1.0, 1.0)
+                                                 .as_array(), (20, 1)), x])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TensorError) as info:
+                    build(stack)
+            assert str(info.value) == "curvature entries must be finite"
