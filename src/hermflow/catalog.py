@@ -32,11 +32,11 @@ MIN_SAMPLES = 50
 #: sign samples per classified case, and records per flow after its start
 SIGN_SAMPLES = 8
 FLOW_CHECKPOINTS = 2
-#: metrics per stack in the pure-type scans.  The stack's temporaries grow
-#: with it, while the per-call overhead it saves levels off: measured on
-#: full curvature stacks (about 0.1 MB per metric), 200 Nii/main metrics
-#: took 88 ms one metric at a time, 61 ms in chunks of 16 and 59-62 ms in
-#: chunks of 32 to 200.
+#: metrics per stack in the pure-type scans.  The per-call overhead it
+#: saves levels off while the traced peak grows: 200 metrics scanned one
+#: at a time, in chunks of 16, 32, 64 and in one call took 8.2, 1.8, 1.6,
+#: 1.4 and 2.1 ms (mean of the 32 cases, 2-core Xeon), at a peak of 0.02,
+#: 0.27, 0.50, 0.88 and 2.49 MiB, which would dominate a case's peak.
 SCAN_CHUNK = 16
 OFF_SLICE_FLOOR = 0.05
 WITNESS_RTOL = 1e-8
@@ -547,11 +547,11 @@ def classify_case(case: ClassificationCase,
 
     Each phase draws all of its metrics first, in the order of the rng, and
     then scans them in stacks of ``SCAN_CHUNK``: ``bismut_pure_type`` decides
-    the random, slice and off-slice metrics from the two mixed curvature
-    blocks, and only the never-slice metrics, whose witnesses read
-    components, get curvature tensors.  The ``SIGN_SAMPLES`` sign samples
-    are classified in one stack, through ``sign_verdicts``, as only their
-    verdicts are kept.
+    the random, slice and off-slice metrics from one curvature block,
+    ``data[..., h, a]``, and only the never-slice metrics, whose witnesses
+    read components, get curvature tensors.  The ``SIGN_SAMPLES`` sign
+    samples are classified in one stack, through ``sign_verdicts``, as only
+    their verdicts are kept.
     """
     eqs = instantiate(case.family, **case.params)
     detail: dict = {}

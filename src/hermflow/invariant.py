@@ -82,6 +82,8 @@ class ComplexStructureEquations:
         shape = (self.n,) * 3
         if C.shape != shape or D.shape != shape:
             raise ValueError(f"C and D must have shape {shape}")
+        if not (np.isfinite(C).all() and np.isfinite(D).all()):
+            raise ValueError("C and D must be finite")
         if np.max(np.abs(C + np.einsum("kij->kji", C))) > 1e-13:
             raise ValueError("C must be antisymmetric in its last two indices")
         for arr, name in ((C, "C"), (D, "D")):
@@ -166,9 +168,11 @@ class BracketTable:
 
     def jacobi_residual(self) -> tuple[float, tuple[int, int, int]]:
         f = self.f
-        jac = (np.einsum("abe,ecf->abcf", f, f)
-               + np.einsum("bce,eaf->abcf", f, f)
-               + np.einsum("cae,ebf->abcf", f, f))
+        # huge finite brackets overflow to a non-finite residual, which dualize refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = (np.einsum("abe,ecf->abcf", f, f)
+                   + np.einsum("bce,eaf->abcf", f, f)
+                   + np.einsum("cae,ebf->abcf", f, f))
         worst = float(np.max(np.abs(jac)))
         flat = int(np.argmax(np.abs(jac)))
         a, b, c, _ = np.unravel_index(flat, jac.shape)
@@ -195,14 +199,13 @@ class BracketTable:
 
     @functools.cached_property
     def bismut_map(self) -> np.ndarray:
-        """The (9, 117) matrix with which ``x @ bismut_map`` holds ``G[i, k~]``
-        and the lowered Bismut blocks ``SIGN L[A, c, d~]`` and ``SIGN L[A,
-        c~, d]``, ``SIGN = CURVATURE_COMPONENT_SIGN``, flattened, in the same
-        way as ``tangent_map``."""
+        """The (9, 63) matrix with which ``x @ bismut_map`` holds ``G[i, k~]``
+        and the lowered Bismut block ``SIGN L[A, c, d~]``, ``SIGN =
+        CURVATURE_COMPONENT_SIGN``, flattened, in the same way as
+        ``tangent_map``."""
         n, g = 3, _frame_metrics_of(np.eye(9))
-        low = CURVATURE_COMPONENT_SIGN * _lowered(ConnectionKind.BISMUT, self.f, g)
-        return np.concatenate([b.reshape(9, -1) for b in (
-            g[:, :n, n:], low[:, :, :n, n:], low[:, :, n:, :n])], axis=1)
+        low = CURVATURE_COMPONENT_SIGN * _lowered(ConnectionKind.BISMUT, self.f, g)[:, :, :n, n:]
+        return np.concatenate([g[:, :n, n:].reshape(9, -1), low.reshape(9, -1)], axis=1)
 
 
 def dualize(eqs: ComplexStructureEquations) -> BracketTable:
@@ -223,7 +226,7 @@ def dualize(eqs: ComplexStructureEquations) -> BracketTable:
     table = BracketTable(n=n, f=f)
 
     worst, triple = table.jacobi_residual()
-    if worst > JACOBI_TOL:
+    if not worst <= JACOBI_TOL:
         labels = ", ".join(label_name(frame_label(x, n)) for x in triple)
         raise IntegrabilityError(
             f"Jacobi identity fails with residual {worst:.3e} at triple ({labels})")
@@ -238,7 +241,7 @@ def _check_reconstruction(eqs: ComplexStructureEquations, table: BracketTable) -
     D_back = -np.einsum("ijk->kij", table.f[:n, n:, :n])
     err = max(float(np.max(np.abs(C_back - eqs.C))),
               float(np.max(np.abs(D_back - eqs.D))))
-    if err > RECONSTRUCTION_TOL:
+    if not err <= RECONSTRUCTION_TOL:
         raise IntegrabilityError(f"bracket dualization mismatch {err:.3e}")
 
 
@@ -548,66 +551,60 @@ def curvature(conn: ConnectionCoefficients, bracket: BracketTable) -> CurvatureT
     return CurvatureTensor(n=conn.n, connection=conn.kind.value, data=direct)
 
 
-def _bismut_mixed_blocks(bracket: BracketTable, x: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """The Bismut curvature blocks ``data[..., h, a]`` and ``data[..., a, h]``
-    of ``bismut_curvatures``, each (R, 2n, 2n, n, n), for the (R, 9) stack
-    ``x`` of ``as_array`` rows (n = 3), refusing as ``frame_metrics`` does.
-    They take ``BracketTable.bismut_map`` and, of the lowered ``L``, only
-    ``gamma[B, c, e] = L[B, c, a~] Ginv[a, e]`` and ``gamma[B, c~, e~] =
-    L[B, c~, a] Ginv[e, a]``."""
+def _bismut_block(bracket: BracketTable, x: np.ndarray) -> np.ndarray:
+    """The Bismut curvature block ``data[..., h, a]`` of ``bismut_curvatures``,
+    (R, 2n, 2n, n, n), for the (R, 9) stack ``x`` of ``as_array`` rows
+    (n = 3), refusing as ``frame_metrics`` does.  It takes
+    ``BracketTable.bismut_map`` and, of the lowered ``L``, only ``gamma[B, c,
+    e] = L[B, c, a~] Ginv[a, e]``."""
     x = _refuse_inadmissible(x)
     R, n = len(x), 3
     N, nn = 2 * n, n * n
     # one product per row: a stack of one is then any row of a stack, bit for bit
     blocks = (x[:, None, :] @ bracket.bismut_map)[:, 0]
-    # the signed blocks times SIGN Ginv (a factor of +-1, so exact) give gamma
+    # the signed block times SIGN Ginv (a factor of +-1, so exact) gives gamma
     Ginv = CURVATURE_COMPONENT_SIGN * np.linalg.inv(blocks[:, :nn].reshape(R, n, n))
-    lows = blocks[:, nn:].reshape(R, 2, N, n, n)
-    out = []
-    for low, P in ((lows[:, 0], Ginv), (lows[:, 1], Ginv.swapaxes(1, 2))):
-        gam = low.reshape(R, N * n, n) @ P
-        T = (gam @ low.swapaxes(1, 2).reshape(R, n, N * n)).reshape(R, N, n, N, n)
-        direct = (bracket.f.reshape(N * N, N) @ low.reshape(R, N, nn)).reshape(R, N, N, n, n)
-        np.subtract(T.transpose(0, 3, 1, 2, 4), direct, out=direct)
-        direct -= T.transpose(0, 1, 3, 2, 4)
-        out.append(direct)
-    return tuple(out)
+    low = blocks[:, nn:].reshape(R, N, n, n)
+    gam = low.reshape(R, N * n, n) @ Ginv
+    T = (gam @ low.swapaxes(1, 2).reshape(R, n, N * n)).reshape(R, N, n, N, n)
+    direct = (bracket.f.reshape(N * N, N) @ low.reshape(R, N, nn)).reshape(R, N, N, n, n)
+    np.subtract(T.transpose(0, 3, 1, 2, 4), direct, out=direct)
+    direct -= T.transpose(0, 1, 3, 2, 4)
+    return direct
 
 
 def bismut_curvatures(bracket: BracketTable, x: np.ndarray) -> CurvatureTensor:
     """``curvature`` of the Bismut connection at ``frame_metrics(x)``, to
     round-off, for the (R, 9) stack ``x`` of ``as_array`` rows (n = 3),
-    refusing as ``frame_metrics`` does.  The connection is Hermitian, so the
-    blocks with a pure-type second pair are exact zeros; the mixed ones are
-    ``_bismut_mixed_blocks``."""
-    blocks = _bismut_mixed_blocks(bracket, x)
-    n = 3
-    data = np.zeros((len(blocks[0]),) + (2 * n,) * 4, dtype=complex)
-    h, a = slice(0, n), slice(n, 2 * n)
-    data[..., h, a], data[..., a, h] = blocks
-    return CurvatureTensor(n=n, connection=ConnectionKind.BISMUT.value, data=data)
+    refusing as ``frame_metrics`` does.  The connection is Hermitian, so it
+    is metric, ``Omega[A, B, C, D] = -Omega[A, B, D, C]``: the blocks with a
+    pure-type second pair are exact zeros, ``data[..., h, a]`` is
+    ``_bismut_block`` and ``data[..., a, h]`` is minus its last-pair
+    transpose."""
+    block = _bismut_block(bracket, x)
+    data = np.zeros((len(block), 6, 6, 6, 6), dtype=complex)
+    data[..., :3, 3:] = block
+    data[..., 3:, :3] = -block.swapaxes(-1, -2)
+    return CurvatureTensor(n=3, connection=ConnectionKind.BISMUT.value, data=data)
 
 
 def bismut_pure_type(bracket: BracketTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``max_violation`` and ``tolerance`` of ``check_cplx(bismut_curvatures(
     bracket, x))`` for each row of the (R, 9) stack ``x``, bit for bit, as
     two (R,) arrays, with the same refusals; no curvature tensor is formed.
-    The blocks with a pure-type second pair are exact zeros, so the largest
-    pure-type modulus is that of a pure first pair in the two mixed blocks,
-    and the largest modulus of all is theirs."""
-    n = 3
-    most, pure = [], []
-    for block in _bismut_mixed_blocks(bracket, x):
-        moduli = np.abs(block)
-        most.append(moduli.reshape(len(moduli), -1).max(axis=1))
-        # a non-finite component has a non-finite modulus; a finite one may
-        # overflow its modulus, which check_cplx then reads as it is
-        if not np.isfinite(most[-1]).all() and not np.isfinite(block.view(float)).all():
-            raise TensorError("curvature entries must be finite")
-        for half in (slice(0, n), slice(n, 2 * n)):
-            pure.append(moduli[:, half, half].max(axis=(1, 2, 3, 4)))
-    return np.maximum.reduce(pure), ZERO_RTOL * (1.0 + np.maximum(*most))
+    The other blocks are exact zeros or the exact negated transpose of the
+    one block ``_bismut_block``, so the largest pure-type modulus is that of
+    a pure first pair in the one block, and the largest modulus of all is
+    its."""
+    block = _bismut_block(bracket, x)
+    moduli = np.abs(block)
+    most = moduli.reshape(len(moduli), -1).max(axis=1)
+    # a non-finite component has a non-finite modulus; a finite one may
+    # overflow its modulus, which check_cplx then reads as it is
+    if not np.isfinite(most).all() and not np.isfinite(block.view(float)).all():
+        raise TensorError("curvature entries must be finite")
+    pure = np.maximum(moduli[:, :3, :3], moduli[:, 3:, 3:]).reshape(len(moduli), -1).max(axis=1)
+    return pure, ZERO_RTOL * (1.0 + most)
 
 
 @dataclass(frozen=True)

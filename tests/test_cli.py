@@ -294,6 +294,17 @@ def test_huge_metric_coefficient_exits_2(capsys, command, metric, err):
     assert run(capsys, *argv) == (2, "", err)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_family_parameter_exits_2_naming_integrability(capsys):
+    # brackets of 1e160 overflow the Jacobi residual to NaN: this used to
+    # pass the gate, warn on stderr and fail later as "curvature entries
+    # must be finite"
+    code, out, err = run(capsys, "cplx", "--family", "Siv3", "--params", "A=1e160")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Jacobi identity fails with residual nan at triple (")
+    assert err.count("\n") == 1
+
+
 def test_flow_json_format(capsys, tmp_path):
     out_file = tmp_path / "traj.json"
     code, out, _ = run(capsys, "flow", "--name", "pluriclosed", "--n", "2",

@@ -56,6 +56,17 @@ def test_jacobi_violation_is_rejected():
         dualize(eqs)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "C": [[3, 1, 2, NaN, 0]], "D": []}',
+    '{"n": 3, "C": [], "D": [[1, 2, 3, 0, Infinity]]}',
+], ids=["C-nan", "D-inf"])
+def test_non_finite_structure_coefficients_are_refused(text):
+    # a NaN in C used to pass the antisymmetry and Jacobi tests, which
+    # compare with >, and leave NaN in the bracket table
+    with pytest.raises(ValueError, match="^C and D must be finite$"):
+        ComplexStructureEquations.from_json(text)
+
+
 def test_json_round_trip():
     eqs = instantiate("Ni", rho=1, lam=0.5, D=0.25 + 0.5j)
     text = eqs.to_json()

@@ -1,14 +1,16 @@
 """The stacked table3 path against the per-metric and per-sample reference.
 
 The pure-type scan takes ``SCAN_CHUNK`` metrics to a stack and forms, per
-stack, only the two mixed second-pair blocks of their Bismut curvatures
-(``bismut_pure_type``); its violations and tolerances are those of
-``check_cplx`` on the full curvature stack, bit for bit.  Only the
-never-slice metrics and the sign samples get curvature tensors, and a case's
-sign samples go to one ``sign_verdicts`` call.  The curvatures are matrix
-products, which agree with the reference einsums to round-off: the table it
-prints must give the same fields, verdicts and counts, with witness values
-equal to round-off, and the same markdown bytes.
+stack, only one Bismut curvature block, ``data[..., h, a]``
+(``bismut_pure_type``); the full curvature reads ``data[..., a, h]`` off
+the metric relation ``Omega[A, B, C, D] = -Omega[A, B, D, C]``, and the
+scan's violations and tolerances are those of ``check_cplx`` on the full
+curvature stack, bit for bit.  Only the never-slice metrics and the sign
+samples get curvature tensors, and a case's sign samples go to one
+``sign_verdicts`` call.  The curvatures are matrix products, which agree
+with the reference einsums to round-off: the table it prints must give the
+same fields, verdicts and counts, with witness values equal to round-off,
+and the same markdown bytes.
 """
 
 import functools
@@ -49,12 +51,21 @@ def test_stacked_bismut_curvature_equals_per_metric(seed):
         metrics = _case_metrics(case, seed)
         stacked = bismut_curvature(eqs, metrics)
         assert len(stacked) == len(metrics)
+        assert bracket.bismut_map.shape == (9, 63)
+        # the connection is metric: the stack forms data[..., h, a] and
+        # reads data[..., a, h] off Omega[A, B, C, D] = -Omega[A, B, D, C]
+        assert np.array_equal(stacked.data[..., 3:, :3],
+                              -stacked.data[..., :3, 3:].swapaxes(-1, -2)), case.key
         for x, omega in zip(metrics, stacked):
             want = reference.bismut_curvature_alone(eqs, MetricCoefficients.from_array(x),
                                                     bracket)
             assert (np.max(np.abs(omega.data - want.data))
                     <= WITNESS_AGREEMENT * (1 + want.magnitude)), case.key
             assert omega.connection == want.connection == "bismut"
+            # the reference forms both mixed blocks, which obey it to round-off
+            assert (np.max(np.abs(want.data[..., 3:, :3]
+                                  + want.data[..., :3, 3:].swapaxes(-1, -2)))
+                    <= WITNESS_AGREEMENT * (1 + want.magnitude)), case.key
             # the Bismut connection is Hermitian: the second pair of its
             # curvature is mixed, to round-off in the reference and exactly
             # in the stack, which forms only the mixed blocks
