@@ -751,9 +751,13 @@ def flow_preservation_check(case_key: str,
     For the flat cases the report carries the largest curvature magnitude
     seen along the flow instead.
     """
-    case = CASE_INDEX[case_key]
-    if case.expected_verdict is None:
-        raise CatalogError(f"case {case_key} has no classified slice to track")
+    case = CASE_INDEX.get(case_key)
+    if case is None or case.expected_verdict is None:
+        why = "is not a catalog case" if case is None else "has no classified slice to track"
+        raise CatalogError(f"case {case_key!r} {why}; classified cases: "
+                           + ", ".join(c.key for c in CASES if c.expected_verdict is not None))
+    if extra_flows < 0:
+        raise ValueError(f"extra_flows must be >= 0, got {extra_flows!r}")
     eqs = instantiate(case.family, **case.params)
     rng = np.random.default_rng(seed)
     m0 = MetricCoefficients.from_array(_sample_slice(rng, case.sign_slice))

@@ -180,22 +180,32 @@ class BracketTable:
 
     @functools.cached_property
     def tangent_map(self) -> np.ndarray:
-        """The (9, 225) matrix with which ``x @ tangent_map`` holds the blocks
-        of ``_tangent_rows`` that are linear in the metric coordinates ``x``
-        (n = 3), flattened: ``G[i, k~]``, the lowered (2,0) Chern torsion
-        ``t[i, j, k] = low[i, j, k~] - low[j, i, k~] - f[i, j, m] G[m, k]``,
-        the lowered Chern block ``low[A, i, k~]`` ordered ``(i, A, k)``, the
-        trace sources ``(-low[b~], low[a])`` and ``W[(b, a)] = f[a, b~, E]
-        low[E]``; row ``c`` holds them at the ``c``-th unit vector, by the
-        ``connection()`` formula."""
+        """The real (9, 1476) matrix with which ``x @ tangent_map`` holds the
+        factors of ``hcf_tangent`` linear in the coordinates ``x`` (n = 3), by
+        the ``connection()`` formula at the unit vectors: left factors as
+        their floats, right ones as their ``_real_form``, in the order ``W[(b,
+        a), (c, d)] = f[a, b~, E] low[E, c, d~]`` (324); the left (3, 9) and
+        right (9, 3) factors of ``-S1``, ``-S2``, ``Q1``, ``Q2`` and ``Q3`` (5
+        x 162); ``G[i, k~]`` (18); ``t / 2`` and ``conj(t) / 2`` (108) and the
+        (6, 9) stack of ``conj t[m, j, i]`` and ``t[m, i, j]`` at ``[m, (i,
+        j)]`` (216), the factors of ``Q4``.  ``x`` is real, so conjugates are
+        columns too; the first ``_S_COLUMNS`` vanish without mixed terms."""
         n, g = 3, _frame_metrics_of(np.eye(9))
         G = g[:, :n, n:]
         low = _lowered(ConnectionKind.CHERN, self.f, g)[:, :, :n, n:]
-        t_low = (low[:, :n] - low[:, :n].swapaxes(1, 2)
-                 - (self.f[:n, :n, :n].reshape(n * n, n) @ G).reshape(9, n, n, n))
+        t = (low[:, :n] - low[:, :n].swapaxes(1, 2)
+             - (self.f[:n, :n, :n].reshape(n * n, n) @ G).reshape(9, n, n, n))
+        tc, hol, anti = t.conj(), low[:, :n], low[:, n:]
         W = self.f[:n, n:].swapaxes(0, 1).reshape(n * n, 2 * n) @ low.reshape(9, 2 * n, n * n)
-        return np.concatenate([b.reshape(9, -1) for b in (
-            G, t_low, low.transpose(0, 2, 1, 3), -low[:, n:], low[:, :n], W)], axis=1)
+        tr = tc.transpose(0, 2, 3, 1)
+        lefts = [F.reshape(9, -1).view(float) for F in (
+            hol.swapaxes(1, 2), -anti.swapaxes(1, 2), t, tc.transpose(0, 3, 1, 2), t,
+            G, t / 2, tc / 2)]
+        rights = [_real_form(F.real, F.imag, -F.imag).reshape(9, -1) for F in (
+            W, *(F.reshape(9, 9, n) for F in (anti, hol, tr, t, tr)),
+            np.concatenate([tc.swapaxes(2, 3), t], axis=1).reshape(9, 2 * n, n * n))]
+        return np.concatenate(rights[:1] + [b for pair in zip(lefts, rights[1:6]) for b in pair]
+                              + lefts[5:] + rights[6:], axis=1)
 
     @functools.cached_property
     def bismut_map(self) -> np.ndarray:
@@ -667,34 +677,34 @@ def check_cplx(omega: CurvatureTensor) -> list[CplxReport]:
 # flow tangent -S + a Q1 + b Q2 + c Q3 + d Q4
 # ---------------------------------------------------------------------------
 
-def q_terms(Ginv: np.ndarray, t_low: np.ndarray) -> np.ndarray:
-    """The four torsion quadratics as a (4, ..., n, n) array, from stacks of
-    the lowered Chern torsion ``t[..., i, j, k] = T_{i j k~}`` and the inverse
-    metric.  With ``P[k, l] = g^{k l~} = Ginv[l, k]``: ``Q1[i, j] = t[i, k,
-    m] (P conj(t[j]) P)[k, m]`` and ``Q2[i, j] = (P (x) P conj(t))[k, m, i]
-    t[k, m, j]``, as products with Kronecker matrices ``(A (x) B)[(k, n), (l,
-    m)] = A[k, l] B[n, m]``; ``Q3`` is the outer product of ``tau = t[:, k,
-    l] P[k, l]`` and ``sig = conj(t)[:, k, l] Ginv[k, l]``, ``Q4`` averages
-    ``(Ginv tau)[m] conj(t)[m, j, i]`` and ``(sig Ginv)[m] t[m, i, j]``."""
-    n, lead = Ginv.shape[-1], Ginv.shape[:-2]
-    nn = n * n
-    P = Ginv.swapaxes(-1, -2)
-    tc = np.conj(t_low)
-    rows, rows_c = t_low.reshape(lead + (n, nn)), tc.reshape(lead + (n, nn))
-    PG = (P[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(lead + (nn, nn))
-    GG = (Ginv[..., :, None, :, None] * Ginv[..., None, :, None, :]).reshape(lead + (nn, nn))
-    q = np.empty((4,) + lead + (n, n), dtype=complex)
-    np.matmul(rows @ PG, rows_c.swapaxes(-1, -2), out=q[0])
-    np.matmul(tc.reshape(lead + (nn, n)).swapaxes(-1, -2) @ GG,
-              t_low.reshape(lead + (nn, n)), out=q[1])
-    tau = rows @ P.reshape(lead + (nn, 1))
-    sig = (rows_c @ Ginv.reshape(lead + (nn, 1))).swapaxes(-1, -2)
-    np.matmul(tau, sig, out=q[2])
-    # Q4 from the halved inverse: a power of two scales every product exactly
-    half = 0.5 * Ginv
-    first = ((half @ tau).swapaxes(-1, -2) @ rows_c).reshape(lead + (n, n))
-    np.add(first.swapaxes(-1, -2), (sig @ half @ rows).reshape(lead + (n, n)), out=q[3])
-    return q
+def _real_form(re: np.ndarray, im: np.ndarray, neg_im: np.ndarray) -> np.ndarray:
+    """The real (..., 2k, 2n) form of the complex (..., k, n) stack ``F = re
+    + i im`` (``neg_im = -im``): its entries as 2 x 2 blocks ``[[re, im],
+    [-im, re]]``, so that ``A.view(float) @ form = (A @ F).view(float)``."""
+    rows = np.stack([np.stack([re, im], -1), np.stack([neg_im, re], -1)], -3)
+    return rows.reshape(rows.shape[:-4] + (2 * rows.shape[-4], 2 * rows.shape[-2]))
+
+
+#: the real forms of hcf_tangent's middles as positions in the floats of
+#: ``[O, -O]``, ``O[a, b, c, d] = Ginv[a, b] Ginv[c, d]``: ``PG[(k, n), (l,
+#: m)] = Ginv[l, k] Ginv[n, m]`` and ``GG = Ginv[k, l] Ginv[n, m]`` of -S1,
+#: -S2, Q1 and Q2, ``Ginv[m, k] Ginv[l, n]`` of Q3, and for Q4 ``Ginv[m, i]
+#: Ginv[l, k]`` at ``[(i, k, l), m]`` and ``Ginv[a, b] Ginv[l, m]`` at ``[(l, a, b), m]``
+_KRONECKER = np.concatenate([
+    _real_form(2 * e, 2 * e + 1, 2 * e + 163).ravel() for e in (
+        np.arange(81).reshape(3, 3, 3, 3).transpose(order).reshape(shape) for order, shape in (
+            ((1, 2, 0, 3), (9, 9)), ((0, 2, 1, 3), (9, 9)), ((1, 2, 0, 3), (9, 9)),
+            ((0, 2, 1, 3), (9, 9)), ((1, 0, 2, 3), (9, 9)), ((1, 3, 2, 0), (27, 3)),
+            ((2, 0, 1, 3), (27, 3))))])
+#: the floats of tangent_map, and the entries of _KRONECKER, only -S needs
+_S_COLUMNS, _S_ENTRIES = 648, 648
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+#: the floats of ``0.5 (K + K^H)``, of ``K`` and of ``K - K^H`` from those of
+#: a complex 3 x 3 ``K``; each is one product or a sum of two, so exact
+_DIRECTIONS = np.eye(18).view(complex).reshape(18, 3, 3)
+_HERMITIAN_PARTS = np.concatenate([part.reshape(18, 9).view(float) for part in (
+    0.5 * (_DIRECTIONS + _DIRECTIONS.conj().swapaxes(1, 2)), _DIRECTIONS,
+    _DIRECTIONS - _DIRECTIONS.conj().swapaxes(1, 2))], axis=1)
 
 
 def _inverse_rows(G: np.ndarray) -> np.ndarray:
@@ -704,40 +714,7 @@ def _inverse_rows(G: np.ndarray) -> np.ndarray:
         return np.linalg.inv(G)
     except np.linalg.LinAlgError:
         return np.array([_inverse_rows(B[None])[0] if len(G) > 1
-                         else np.full(B.shape, np.nan) for B in G])
-
-
-def _tangent_rows(bracket: BracketTable, x: np.ndarray, coeffs: np.ndarray,
-                  chern_flat: bool) -> np.ndarray:
-    """Unsymmetrized ``-S + a Q1 + b Q2 + c Q3 + d Q4`` at each admissible row
-    of the (R, 9) coordinate stack ``x``, with the (R, 4) rows ``coeffs``.
-
-    The lowered torsion of the quadratics is linear in ``x`` and read off
-    ``BracketTable.tangent_map``.  ``S = P[a, b] Omega[a, b~]`` is traced
-    before the mixed block ``Omega[a, b~] = gam[b~] low[a] - gam[a] low[b~]
-    - f[a, b~, E] low[E]`` is formed, with only the Chern Christoffels
-    ``gam[A, i, j] = low[A, i, k~] Ginv[k, j]`` of holomorphic ``i, j``:
-    ``gam[A] lift[A]`` over the frame, with ``lift[a] = -P[a, b] low[b~]``
-    and ``lift[b~] = P[a, b] low[a]``, minus ``Ginv[b, a] W[(b, a)]``.  On a
-    ``chern_flat`` bracket, one with no mixed terms, ``low`` and ``W``
-    vanish for every metric, so ``S`` does and is not formed.
-    """
-    R, n = len(x), 3
-    N, nn = 2 * n, n * n
-    blocks = x @ (bracket.tangent_map[:, :4 * nn] if chern_flat else bracket.tangent_map)
-    G = blocks[:, :nn].reshape(R, n, n)
-    Ginv = _inverse_rows(G)
-    q = q_terms(Ginv, blocks[:, nn:4 * nn].reshape(R, n, n, n)).reshape(4, R, nn)
-    K = (coeffs[:, None, :] @ q.swapaxes(0, 1)).reshape(R, n, n)
-    if chern_flat:
-        return K
-    # gam[A, c, e] at [c, (A, e)]
-    gam = (blocks[:, 4 * nn:10 * nn].reshape(R, N * n, n) @ Ginv).reshape(R, n, N * n)
-    sources = blocks[:, 10 * nn:16 * nn].reshape(R, 2, n, nn)
-    lift = np.concatenate([Ginv.swapaxes(1, 2) @ sources[:, 0], Ginv @ sources[:, 1]], axis=1)
-    S = (gam @ lift.reshape(R, N * n, n)
-         - (Ginv.reshape(R, 1, nn) @ blocks[:, 16 * nn:].reshape(R, nn, nn)).reshape(R, n, n))
-    return K - S
+                         else np.full_like(B, np.nan) for B in G])
 
 
 def hcf_tangent(eqs: ComplexStructureEquations, x: np.ndarray, coeffs: np.ndarray
@@ -752,36 +729,59 @@ def hcf_tangent(eqs: ComplexStructureEquations, x: np.ndarray, coeffs: np.ndarra
     curvature plane, taken in the direct sign convention
     ``g(R(e_A, e_B) e_C, e_D)`` so that the flow direction agrees with the
     coordinate picture on homogeneous model spaces.
+
+    With ``P[k, l] = g^{k l~} = Ginv[l, k]``, the lowered Chern torsion ``t``
+    and block ``low[A, i, k~]``: ``Q1[i, j] = t[i, k, n] P[k, l] Ginv[n, m]
+    conj t[j, l, m]``, ``Q2[i, j] = conj t[k, n, i] Ginv[k, l] Ginv[n, m]
+    t[l, m, j]``, ``Q3 = tau sig^T`` with ``tau = t[:, k, m] P[k, m]`` and
+    ``sig = conj t[:, l, n] Ginv[l, n]``, ``Q4`` averages ``(Ginv tau)[m]
+    conj t[m, j, i]`` and ``(sig Ginv)[m] t[m, i, j]``, and ``-S = low[a] P
+    low[b~] Ginv - low[b~] Ginv low[a] Ginv + Ginv[b, a] W[(b, a)]``, traced
+    before the mixed Chern block would be formed.  Each term is ``left @
+    middle @ right``: factors linear in ``x`` from one real product per row
+    with ``BracketTable.tangent_map``, middles of ``Ginv (x) Ginv`` from
+    ``_KRONECKER``, and every product real, on the ``_real_form`` of its
+    right factor.  Without mixed terms (``eqs.D == 0``) ``low`` and ``W``
+    vanish for every metric, so ``S`` does and is not formed.
     """
     x, coeffs = np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float)
-    ok = _admissible_rows(x)
-    chern_flat = not eqs.D.any()
-    # a row that overflows at the rim of the cone fails the finite test below
-    with np.errstate(invalid="ignore", over="ignore"):
-        if ok.all():
-            K = _tangent_rows(eqs.bracket, x, coeffs, chern_flat)
-        else:
-            K = np.zeros((len(x), eqs.n, eqs.n), dtype=complex)
-            K[ok] = _tangent_rows(eqs.bracket, x[ok], coeffs[ok], chern_flat)
-        KH = K.conj().swapaxes(1, 2)
-        size, defect = np.abs(K).max(axis=(1, 2)), np.abs(K - KH).max(axis=(1, 2))
-    # a NaN row fails both tests
-    ok &= np.isfinite(size) & (defect <= 1e-8 * (1.0 + size))
-    return 0.5 * (K + KH), ok
+    R, chern_flat = len(x), not eqs.D.any()
+    p = 3 if chern_flat else 5  # pairs of factors: [-S1, -S2,] Q1, Q2, Q3
+    # a row outside the cone or overflowing at its rim fails the tests below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # one product per row: a stack of one is then any row of a stack, bit for bit
+        blocks = (x[:, None] @ eqs.bracket.tangent_map[:, _S_COLUMNS * chern_flat:])[:, 0]
+        Ginv = _inverse_rows(blocks[:, -342:-324].view(complex).reshape(R, 3, 3))
+        outer = (Ginv[:, None] * _SIGNS)[..., None, None] * Ginv[:, None, None, None]
+        middles = outer.view(float).reshape(R, 324).take(_KRONECKER[_S_ENTRIES * chern_flat:], 1)
+        terms = np.empty((R, p + 1 + (not chern_flat), 18))  # [Ginv W,] the pairs, Q4
+        pair = blocks[:, -342 - 162 * p:-342].reshape(R, p, 162)
+        np.matmul(pair[..., :54].reshape(R, p, 3, 18) @ middles[:, :-648].reshape(R, p, 18, 18),
+                  pair[..., 54:].reshape(R, p, 18, 6), out=terms[:, -1 - p:-1].reshape(R, p, 3, 6))
+        q4 = blocks[:, -324:-216].reshape(R, 2, 1, 54) @ middles[:, -648:].reshape(R, 2, 54, 6)
+        np.matmul(q4.reshape(R, 1, 12), blocks[:, -216:].reshape(R, 12, 18), out=terms[:, -1:])
+        K = coeffs[:, None] @ terms[:, -4:]
+        if not chern_flat:
+            np.matmul(Ginv.view(float).reshape(R, 1, 18), blocks[:, :324].reshape(R, 18, 18),
+                      out=terms[:, :1])
+            K += terms[:, :3].sum(axis=1, keepdims=True)
+        parts = (K @ _HERMITIAN_PARTS)[:, 0]
+        size, defect = np.abs(parts[:, 18:].view(complex)).reshape(R, 2, 9).max(axis=2).T
+        # a NaN row fails both tests
+        ok = _admissible_rows(x) & np.isfinite(size) & (defect <= 1e-8 * (1.0 + size))
+    return parts[:, :18].view(complex).reshape(R, 3, 3), ok
 
 
 def _coefficient_rates(K: np.ndarray) -> np.ndarray:
     """Map ``d/dt g(Z_i, conj Z_j) = K[i, j]`` to the coefficient chart, for
     one (3, 3) matrix or a (..., 3, 3) stack: ``2 Re K[i, i]``, then ``2i
-    K[i, j]`` for u, v and z."""
-    picked = K.reshape(K.shape[:-2] + (9,)).take(_RATE_ENTRIES, axis=-1) * _RATE_SCALE
-    return picked.view(float).take(_RATE_PARTS, axis=-1)
+    K[i, j]`` for u, v and z; each rate is one exact product."""
+    return K.reshape(K.shape[:-2] + (9,)).view(float) @ _RATES
 
 
-#: entries 00, 11, 22, 01, 12, 02 of a flattened 3 x 3 matrix, their factors,
-#: and the real and imaginary parts kept (all but the imaginary diagonal)
-_RATE_ENTRIES, _RATE_SCALE = np.array([0, 4, 8, 1, 5, 2]), np.array([2, 2, 2, 2j, 2j, 2j])
-_RATE_PARTS = np.array([0, 2, 4, 6, 7, 8, 9, 10, 11])
+#: _coefficient_rates of the 18 real directions of K
+_RATES = (_DIRECTIONS.reshape(18, 9).take([0, 4, 8, 1, 5, 2], axis=1) * [2, 2, 2, 2j, 2j, 2j]
+          ).view(float).take([0, 2, 4, 6, 7, 8, 9, 10, 11], axis=1)
 
 
 # Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6
@@ -837,15 +837,11 @@ def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarra
     x = np.array(x0, dtype=float)
     k = np.empty((len(x), 7, x.shape[1]))
     out: list[list[np.ndarray]] = [[] for _ in x]
-    evals = np.zeros(len(x), dtype=int)
-
-    def rates(rows: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # looked up in the module on every call, where the tracer wraps it
-        K, ok = hcf_tangent(eqs, states, coeffs[rows])
-        evals[rows] += 1
-        return _coefficient_rates(K), ok
-
-    k[:, 0], ok = rates(np.arange(len(x)), x)
+    # hcf_tangent is looked up in the module on every call, where the tracer wraps it
+    K, ok = hcf_tangent(eqs, x, coeffs)
+    k[:, 0] = _coefficient_rates(K)
+    for st in stats:
+        st.tangent_evals += 1
     # a first stage fails only at an unusable start: degenerate there
     active = np.flatnonzero(ok).tolist()
     while active:
@@ -855,12 +851,16 @@ def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarra
         h = np.array([ts - stats[r].t if land else stats[r].step
                       for r, ts, land in zip(active, t_stop, landing)])
         # the rows still in the step: all of them (a slice) until a stage fails
-        xs, ks, alive = x[rows], k[rows], slice(None)
+        xs, ks, cs, alive = x[rows], k[rows], coeffs[rows], slice(None)
+        evals = np.full(len(rows), 6)  # six stages, or up to the one that failed
         for i in range(1, 7):
             x_new = xs[alive] + h[alive, None] * (_DP_A[i, :i] @ ks[alive, :i])
-            ks[alive, i], ok = rates(rows[alive], x_new)
+            K, ok = hcf_tangent(eqs, x_new, cs[alive])
+            ks[alive, i] = _coefficient_rates(K)
             if not ok.all():
-                alive, x_new = np.arange(len(rows))[alive][ok], x_new[ok]
+                alive = np.arange(len(rows))[alive]
+                evals[alive[~ok]] = i
+                alive, x_new = alive[ok], x_new[ok]
                 if not alive.size:
                     break
         err = np.full(len(rows), np.nan)            # NaN: a stage failed
@@ -869,31 +869,27 @@ def _flow_rows(eqs: ComplexStructureEquations, coeffs: np.ndarray, x0: np.ndarra
                                      axis=1))
         xs[alive] = x_new
         still = []
-        for p, r in enumerate(active):
-            st, h_p, e = stats[r], float(h[p]), float(err[p])
-            if math.isnan(e):
-                st.rejected += 1
-                st.step = 0.2 * h_p
+        for p, (r, e, n) in enumerate(zip(active, err.tolist(), evals.tolist())):
+            st, h_p = stats[r], float(h[p])
+            st.tangent_evals += n
+            # a failed stage (NaN) rejects the step and shrinks it five-fold
+            grow = 0.2 if math.isnan(e) else 5.0 if e == 0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+            if e <= 1.0:
+                # the new state passed the cone test in the seventh stage
+                st.accepted += 1
+                st.min_step = min(st.min_step, h_p)
+                x[r], k[r], k[r, 0] = xs[p], ks[p], ks[p, 6]
+                # a step shortened to land on t_stop says nothing against h
+                st.step = max(st.step, h_p * grow) if landing[p] else h_p * grow
+                st.t = t_stop[p] if landing[p] else st.t + h_p
             else:
-                grow = 5.0 if e == 0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
-                if e <= 1.0:
-                    # the new state passed the cone test in the seventh stage
-                    st.accepted += 1
-                    st.min_step = min(st.min_step, h_p)
-                    x[r], k[r], k[r, 0] = xs[p], ks[p], ks[p, 6]
-                    # a step shortened to land on t_stop says nothing against h
-                    st.step = max(st.step, h_p * grow) if landing[p] else h_p * grow
-                    st.t = t_stop[p] if landing[p] else st.t + h_p
-                else:
-                    st.rejected += 1
-                    st.step = h_p * grow
+                st.rejected += 1
+                st.step = h_p * grow
             if st.t >= t_stop[p]:  # landed, so the step did not shrink
                 out[r].append(x[r].copy())
             if st.step >= FLOW_MIN_STEP and len(out[r]) < len(records):
                 still.append(r)
         active = still
-    for st, e in zip(stats, evals.tolist()):
-        st.tangent_evals += e
     return out
 
 
@@ -930,8 +926,8 @@ def integrate_invariant_flows(eqs: ComplexStructureEquations,
     if dt < FLOW_MIN_STEP:
         raise ValueError(f"dt must be at least the step floor FLOW_MIN_STEP = "
                          f"{FLOW_MIN_STEP:g}, got {dt!r}")
-    if checkpoints < 1:
-        raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
+    if not isinstance(checkpoints, (int, np.integer)) or checkpoints < 1:
+        raise ValueError(f"checkpoints must be an integer >= 1, got {checkpoints!r}")
     m0.validate()
     stats = [FlowStepStats(step=dt) for _ in fcs]
     records = [t_end * j / checkpoints for j in range(1, checkpoints + 1)]

@@ -157,3 +157,13 @@ def test_flow_preservation_flat_case():
 def test_flow_preservation_rejects_unclassified_rows():
     with pytest.raises(CatalogError):
         flow_preservation_check("Sv")
+    # an unknown key is named with the classified cases
+    named = (r"^case 'nope' is not a catalog case; "
+             r"classified cases: Np/torus, .*, Nii/main, .*, Siv1")
+    with pytest.raises(CatalogError, match=named):
+        flow_preservation_check("nope")
+
+
+def test_flow_preservation_refuses_a_negative_flow_count():
+    with pytest.raises(ValueError, match=r"^extra_flows must be >= 0, got -2$"):
+        flow_preservation_check("Nii/main", extra_flows=-2)

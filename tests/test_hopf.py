@@ -7,10 +7,10 @@ import pytest
 
 from hermflow import hopf
 from hermflow.flows import FlowCoefficients, named_flow, ode_rhs
-from hermflow.invariant import check_cplx, q_terms
+from hermflow.invariant import check_cplx
 from hermflow.positivity import classify
 from tests.conftest import random_point
-from tests.reference import (chern_curvature_lowered, inverse_metric_at,
+from tests.reference import (chern_curvature_lowered, inverse_metric_at, q_terms,
                              stacked_second_ricci_trace)
 
 
@@ -221,8 +221,9 @@ def test_trace2_equals_inverse_metric_trace_of_curvature(rng):
 
 
 def test_closed_form_q_terms_match_generic_contraction(rng):
-    # the generic torsion contractions of the frame engine reproduce the
-    # printed quadratics when fed the closed-form torsion and metric
+    # the generic einsum torsion contractions, which the frame engine's
+    # tangent matches, reproduce the printed quadratics when fed the
+    # closed-form torsion and metric
     for _ in range(5):
         h = random_hopf(rng)
         z = random_point(rng, h.n)

@@ -64,8 +64,24 @@ def test_flow_rejects_bad_arguments():
     fc = named_flow("gradient")
     with pytest.raises(ValueError, match="checkpoints"):
         integrate_invariant_flow(eqs, m0, fc, t_end=0.5, checkpoints=0)
+    for count in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=r"^checkpoints must be an integer >= 1, got "):
+            integrate_invariant_flow(eqs, m0, fc, t_end=0.5, checkpoints=count)
     with pytest.raises(ValueError, match="positive"):
         integrate_invariant_flow(eqs, m0, fc, t_end=0.5, dt=0.0)
+
+
+def test_an_overflowing_tangent_fails_its_row_without_a_warning():
+    # the stage's arithmetic overflows and then multiplies inf by zero; under
+    # the error filter of the suite, a warning would fail the test
+    eqs = instantiate("Nii", rho=1, B=0j, c=0.0)
+    m0 = MetricCoefficients(1.0, 1.0, 1.0)
+    K, ok = hcf_tangent(eqs, m0.as_array()[None], np.array([[1e308, 1e308, 0.0, 0.0]]))
+    assert ok.tolist() == [False]
+    res = integrate_invariant_flow(eqs, m0, FlowCoefficients(1e308, 1e308, 0, 0), t_end=0.5)
+    assert res.degenerated and res.exit_time == 0.0
+    assert res.termination is Termination.LEFT_ADMISSIBLE_CONE
+    assert (res.accepted, res.rejected, res.tangent_evals) == (0, 0, 1)
 
 
 def test_flow_refuses_a_first_step_below_the_floor():

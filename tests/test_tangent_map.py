@@ -3,6 +3,7 @@ that ``MetricCoefficients.validate`` and the stacked tangent share, and the
 tangent rows that the stacked flow driver counts."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def _chern_blocks(f, m):
     return g[:3, 3:], chern[:, :3, 3:]
 
 
+def _complex(floats, k, n):
+    """The complex (k, n) matrix whose ``_real_form`` is ``floats``, after
+    checking the form's block pattern ``[[re, im], [-im, re]]``."""
+    form = floats.reshape(2 * k, 2 * n)
+    assert np.array_equal(form[1::2, 1::2], form[::2, ::2])
+    assert np.array_equal(form[1::2, ::2], -form[::2, 1::2])
+    return form[::2, ::2] + 1j * form[::2, 1::2]
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c.key for c in CASES])
 def test_tangent_map_reproduces_the_chern_block(case, rng):
     bracket = dualize(instantiate(case.family, **case.params))
@@ -41,27 +51,38 @@ def test_tangent_map_reproduces_the_chern_block(case, rng):
         m = sample_admissible_metric(rng)
         G, low = _chern_blocks(f, m)
         blocks = m.as_array() @ bracket.tangent_map
-        assert blocks.shape == (225,)
-        assert reference.relative_error(blocks[:9].reshape(3, 3), G) <= MAP_RTOL
-        conn = connection(ConnectionKind.CHERN, bracket, frame_metric(m))
-        torsion = reference.chern_torsion(conn, bracket).lowered_hol
-        assert reference.relative_error(blocks[9:36].reshape(3, 3, 3), torsion) <= TORSION_RTOL
-        # ordered (i, A, k), so that raising by Ginv lays out gam for the trace
-        assert reference.relative_error(blocks[36:90].reshape(3, 6, 3).transpose(1, 0, 2),
-                                        low) <= MAP_RTOL
-        sources = np.concatenate([-low[3:], low[:3]])
-        assert reference.relative_error(blocks[90:144].reshape(6, 3, 3), sources) <= MAP_RTOL
+        assert blocks.shape == (1476,)
         W = np.einsum("abe,ecd->bacd", f[:3, 3:], low).reshape(9, 9)
-        assert reference.relative_error(blocks[144:].reshape(9, 9), W) <= MAP_RTOL
+        assert reference.relative_error(_complex(blocks[:324], 9, 9), W) <= MAP_RTOL
+        conn = connection(ConnectionKind.CHERN, bracket, frame_metric(m))
+        t = reference.chern_torsion(conn, bracket).lowered_hol
+        tc, hol, anti = t.conj(), low[:3], low[3:]
+        # the left and right factors of -S1, -S2, Q1, Q2 and Q3, in this order
+        pairs = [(hol.transpose(1, 0, 2), anti), (-anti.transpose(1, 0, 2), hol),
+                 (t, tc.transpose(1, 2, 0)), (tc.transpose(2, 0, 1), t),
+                 (t, tc.transpose(1, 2, 0))]
+        for p, (left, right) in enumerate(pairs):
+            at = blocks[324 + 162 * p:486 + 162 * p]
+            rtol = MAP_RTOL if p < 2 else TORSION_RTOL
+            assert reference.relative_error(at[:54].view(complex), left.ravel()) <= rtol
+            assert reference.relative_error(_complex(at[54:], 9, 3), right.reshape(9, 3)) <= rtol
+        G_at = blocks[1134:1152].view(complex).reshape(3, 3)
+        assert reference.relative_error(G_at, G) <= MAP_RTOL
+        halves = blocks[1152:1260].view(complex)
+        assert reference.relative_error(halves, 0.5 * np.concatenate([t.ravel(), tc.ravel()])) \
+            <= TORSION_RTOL
+        assert reference.relative_error(_complex(blocks[1260:], 6, 9), np.concatenate(
+            [tc.transpose(0, 2, 1), t]).reshape(6, 9)) <= TORSION_RTOL
 
 
 def test_chern_flat_brackets_are_those_without_mixed_terms():
-    # with D = 0 the lowered Chern block, the trace sources and W vanish at
-    # every metric, and only G and the torsion remain
+    # with D = 0 the lowered Chern block and W vanish at every metric, and
+    # with them the columns that only -S reads
     flat = []
     for case in CASES:
         eqs = instantiate(case.family, **case.params)
-        assert (not eqs.bracket.tangent_map[:, 36:].any()) is (not eqs.D.any()), case.key
+        mixed = eqs.bracket.tangent_map[:, :invariant._S_COLUMNS].any()
+        assert (not mixed) is (not eqs.D.any()), case.key
         flat += [case.key] if not eqs.D.any() else []
     assert flat == ["Np/torus", "Np/iwasawa", "Siv1"]
 
@@ -69,11 +90,12 @@ def test_chern_flat_brackets_are_those_without_mixed_terms():
 @pytest.mark.parametrize("key", ["Np/torus", "Np/iwasawa", "Siv1"])
 def test_skipped_chern_trace_equals_the_general_tangent(key, rng):
     case = catalog.CASE_INDEX[key]
-    bracket = instantiate(case.family, **case.params).bracket
+    eqs = instantiate(case.family, **case.params)
     x = np.array([sample_admissible_metric(rng).as_array() for _ in range(12)])
     coeffs = rng.uniform(-1, 1, (12, 4))
-    skipped = invariant._tangent_rows(bracket, x, coeffs, chern_flat=True)
-    general = invariant._tangent_rows(bracket, x, coeffs, chern_flat=False)
+    skipped, _ = hcf_tangent(eqs, x, coeffs)
+    # equations that claim mixed terms take the general path on the same bracket
+    general, _ = hcf_tangent(SimpleNamespace(D=np.ones(1), bracket=eqs.bracket), x, coeffs)
     assert reference.relative_error(skipped, general) <= 1e-13
 
 
